@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from benchmarks.common import append_history, emit
+from benchmarks.common import BACKEND, append_history, emit
 from repro import FaultInjector, load_instance
 from repro.faults.site import FaultSite
 
@@ -73,8 +73,12 @@ def run_comparison() -> str:
     best_deep_speedup = 0.0
     for key in KEYS:
         rng = np.random.default_rng(2018)
-        base = FaultInjector(load_instance(key), checkpoint_interval=0)
-        ck = FaultInjector(load_instance(key), checkpoint_interval=INTERVAL)
+        base = FaultInjector(
+            load_instance(key), backend=BACKEND, checkpoint_interval=0
+        )
+        ck = FaultInjector(
+            load_instance(key), backend=BACKEND, checkpoint_interval=INTERVAL
+        )
         buckets = _tertile_sites(base, rng)
         base_ms, base_out = _time_tertiles(base, buckets)
         ck_ms, ck_out = _time_tertiles(ck, buckets)

@@ -51,7 +51,7 @@ def run_comparison() -> str:
     lines = []
     headline_speedup = 0.0
     for key in (HEADLINE_KEY, SHORT_KEY):
-        interp = FaultInjector(load_instance(key))
+        interp = FaultInjector(load_instance(key), backend="interpreter")
         compiled = FaultInjector(load_instance(key), backend="compiled")
         interp_rate, interp_result = _campaign_rate(interp, N_SITES)
         compiled_rate, compiled_result = _campaign_rate(compiled, N_SITES)
@@ -78,7 +78,9 @@ def run_comparison() -> str:
     # prefix is fast-forwarded from checkpoints and when the campaign fans
     # out over a worker pool (workers rebuild from shipped golden state).
     reference = random_campaign(
-        FaultInjector(load_instance(HEADLINE_KEY), checkpoint_interval=0),
+        FaultInjector(
+            load_instance(HEADLINE_KEY), backend="interpreter", checkpoint_interval=0
+        ),
         N_SITES,
         rng=SEED,
     )

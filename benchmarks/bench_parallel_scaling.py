@@ -30,7 +30,7 @@ import time
 from repro import FaultInjector, load_instance, run_campaign
 from repro.parallel import ParallelCampaignRunner
 
-from benchmarks.common import append_history, emit, pruned_space_for
+from benchmarks.common import BACKEND, append_history, emit, pruned_space_for
 
 KEY = "2dconv.k1"
 REPEATS = 5
@@ -71,17 +71,19 @@ def run_scaling(key: str = KEY) -> str:
     space = pruned_space_for(key)
     rows = []
 
-    baseline = FaultInjector(load_instance(key), thread_slicing=False)
+    baseline = FaultInjector(
+        load_instance(key), backend=BACKEND, thread_slicing=False
+    )
     profile_ref, baseline_dt, n = _campaign(baseline, space)
     rows.append(("serial baseline (CTA-sliced)", baseline_dt, None))
 
-    optimised = FaultInjector(load_instance(key))
+    optimised = FaultInjector(load_instance(key), backend=BACKEND)
     profile, dt, _ = _campaign(optimised, space)
     assert profile.weights == profile_ref.weights
     rows.append(("serial optimised (thread-sliced)", dt, None))
 
     for workers in (2, 4):
-        injector = FaultInjector(load_instance(key))
+        injector = FaultInjector(load_instance(key), backend=BACKEND)
         runner = ParallelCampaignRunner(workers)
         profile, dt, _ = _campaign(injector, space, executor=runner)
         assert profile.weights == profile_ref.weights

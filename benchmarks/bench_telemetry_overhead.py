@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from benchmarks.common import append_history, emit
+from benchmarks.common import BACKEND, append_history, emit
 from repro import FaultInjector, load_instance
 from repro.faults.model import InjectionSpec
 from repro.telemetry import MemorySink, Telemetry
@@ -42,9 +42,9 @@ def _time_rounds(fn, sites) -> float:
 
 
 def run_overhead(key: str = "gaussian.k1") -> str:
-    injector = FaultInjector(load_instance(key))
+    injector = FaultInjector(load_instance(key), backend=BACKEND)
     live = FaultInjector(
-        load_instance(key), telemetry=Telemetry(sink=MemorySink())
+        load_instance(key), backend=BACKEND, telemetry=Telemetry(sink=MemorySink())
     )
     sites = injector.space.sample(N_SITES, np.random.default_rng(0))
 

@@ -48,7 +48,9 @@ def run_comparison() -> str:
 
     # Registry-kernel equivalence: same outcomes as the interpreter.
     interp = random_campaign(
-        FaultInjector(load_instance(EQUIV_KEY)), N_SITES, rng=SEED
+        FaultInjector(load_instance(EQUIV_KEY), backend="interpreter"),
+        N_SITES,
+        rng=SEED,
     )
     vec = random_campaign(
         FaultInjector(load_instance(EQUIV_KEY), backend="vectorized"),

@@ -21,11 +21,13 @@ the default — derives K per kernel from trace depth) with
 ``REPRO_BENCH_CHECKPOINT_BUDGET_MB`` bounding per-process snapshot memory
 — again bit-for-bit identical results, only faster deep injections.
 
-``REPRO_BENCH_BACKEND={interpreter,compiled,vectorized}`` selects the
-execution backend every harness-built injector uses (identical outcomes;
-the compiled closure-chain backend is faster per thread, the vectorized
-lane-parallel backend is faster still on wide CTAs — see
-``bench_compiled_backend.py`` and ``bench_vectorized_backend.py``).
+``REPRO_BENCH_BACKEND={interpreter,compiled,vectorized,auto}`` selects
+the execution backend every harness-built injector uses (identical
+outcomes; the compiled closure-chain backend is faster per thread, the
+vectorized lane-parallel backend is faster still on wide CTAs — see
+``bench_compiled_backend.py`` and ``bench_vectorized_backend.py``).  It
+defaults to ``interpreter``, not the library's ``auto``: the rung
+benches pin their speed-ups and history against the reference path.
 
 ``REPRO_BENCH_PAPER_GRID=1`` additionally runs kernels with a staged
 paper-scale build (16384-thread GEMM, 512-row MVT) at the paper's actual

@@ -11,6 +11,12 @@ Quickstart::
     profile = pruned.estimate_profile(injector)   # weighted exhaustive run
     print(profile)                                # masked/sdc/other %
 
+The execution backend defaults to ``backend="auto"``: the vectorized
+backend for CTAs of 128 or more threads, the compiled backend for
+narrower ones (``injector.backend`` holds the resolved name).  Outcomes
+are identical on every backend; pass ``backend="interpreter"`` for the
+reference interpreter the equivalence tests compare against.
+
 Layers (bottom-up):
 
 * :mod:`repro.gpu`      — functional SIMT simulator (PTXPlus-flavoured ISA)

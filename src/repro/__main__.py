@@ -57,6 +57,7 @@ from . import (
     resolve_executor,
 )
 from .faults.resync import DEFAULT_RESYNC_WINDOW
+from .gpu.simulator import VECTORIZED_MIN_LANES
 from .stats import sample_size_worst_case
 from .telemetry import (
     NULL_TELEMETRY,
@@ -119,11 +120,13 @@ def _add_instrumentation_args(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--backend",
-        choices=BACKENDS,
-        default="interpreter",
-        help="execution backend: the reference interpreter, the compiled "
-        "closure-chain backend, or the vectorized lane-parallel backend "
-        "(identical outcomes, faster)",
+        choices=("auto", *BACKENDS),
+        default="auto",
+        help="execution backend: 'auto' (default) picks vectorized for CTAs "
+        f"of {VECTORIZED_MIN_LANES}+ threads and compiled for narrower ones; "
+        "or force the reference interpreter, the compiled closure-chain "
+        "backend or the vectorized lane-parallel backend (outcomes are "
+        "identical on all of them; manifests record the backend that ran)",
     )
     sub.add_argument(
         "--propagation",
@@ -307,9 +310,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--backend",
-        choices=BACKENDS,
-        default="interpreter",
-        help="execution backend for the classification and the trace",
+        choices=("auto", *BACKENDS),
+        default="auto",
+        help="execution backend for the classification and the trace "
+        "('auto' decides from the CTA width, as for profile)",
     )
     trace.add_argument(
         "--json", action="store_true", help="emit the raw record as JSON"
@@ -398,6 +402,17 @@ def _checkpoint_kwargs(args) -> dict:
         "resync": args.resync,
         "resync_window": args.resync_window,
     }
+
+
+def _build_injector(args, telemetry, manifest: RunManifest | None) -> FaultInjector:
+    """The campaign's injector; the manifest records the backend that ran
+    (``auto`` resolves per kernel, so the flag alone does not say)."""
+    injector = FaultInjector(
+        load_instance(args.kernel), telemetry=telemetry, **_checkpoint_kwargs(args)
+    )
+    if manifest is not None:
+        manifest.config["backend"] = injector.backend
+    return injector
 
 
 def _live_wanted(args) -> bool:
@@ -578,9 +593,7 @@ def cmd_profile(args) -> int:
             events_path=args.telemetry_out,
         )
     t0 = time.perf_counter()
-    injector = FaultInjector(
-        load_instance(args.kernel), telemetry=telemetry, **_checkpoint_kwargs(args)
-    )
+    injector = _build_injector(args, telemetry, manifest)
     pruner = ProgressivePruner(
         num_loop_iters=args.loop_iters, n_bits=args.bits, seed=args.seed
     )
@@ -657,9 +670,7 @@ def cmd_baseline(args) -> int:
             events_path=args.telemetry_out,
         )
     t0 = time.perf_counter()
-    injector = FaultInjector(
-        load_instance(args.kernel), telemetry=telemetry, **_checkpoint_kwargs(args)
-    )
+    injector = _build_injector(args, telemetry, manifest)
     progress = _make_progress(args, label=f"{args.kernel} baseline")
     plane = _make_live(args, manifest=manifest)
     try:
@@ -710,9 +721,7 @@ def cmd_stages(args) -> int:
             events_path=args.telemetry_out,
         )
     t0 = time.perf_counter()
-    injector = FaultInjector(
-        load_instance(args.kernel), telemetry=telemetry, **_checkpoint_kwargs(args)
-    )
+    injector = _build_injector(args, telemetry, manifest)
     pruner = ProgressivePruner(num_loop_iters=args.loop_iters, n_bits=args.bits)
     progress = _make_progress(args, label=f"{args.kernel} stages")
     space = pruner.prune(injector, progress=progress)
@@ -751,9 +760,7 @@ def cmd_metrics(args) -> int:
             events_path=args.telemetry_out,
         )
     t0 = time.perf_counter()
-    injector = FaultInjector(
-        load_instance(args.kernel), telemetry=telemetry, **_checkpoint_kwargs(args)
-    )
+    injector = _build_injector(args, telemetry, manifest)
     progress = _make_progress(args, label=f"{args.kernel} metrics")
     plane = _make_live(args, manifest=manifest)
     try:

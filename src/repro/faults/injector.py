@@ -49,7 +49,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from ..errors import FaultInjectionError, HangDetected, MemoryFault, ResyncReached
-from ..gpu import GPUSimulator, GlobalMemory
+from ..gpu import GPUSimulator, GlobalMemory, resolve_backend
 from ..gpu.checkpoint import (
     DEFAULT_BUDGET_MB,
     CheckpointPlan,
@@ -123,7 +123,7 @@ class FaultInjector:
         thread_slicing: bool = True,
         checkpoint_interval: int | str = "auto",
         checkpoint_budget_mb: float = DEFAULT_BUDGET_MB,
-        backend: str = "interpreter",
+        backend: str = "auto",
         golden: GoldenState | None = None,
         propagation: bool = False,
         resync: bool = False,
@@ -133,7 +133,9 @@ class FaultInjector:
         self.hang_factor = hang_factor
         self.thread_slicing = thread_slicing  # the requested flag, as given
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.backend = backend
+        # Resolved before the golden run: ``self.backend`` is always the
+        # concrete name every launch, worker payload and event carries.
+        self.backend = resolve_backend(backend, instance.geometry)
         #: Provenance tracing: every classified injection also gets a
         #: diagnostic replay producing a :class:`PropagationRecord`
         #: (see ``repro.faults.propagation``).  Off by default; the
@@ -157,7 +159,7 @@ class FaultInjector:
         #: Per-run accounting scratch for effective-iCnt event fields
         #: (checkpoint-skipped + resync-spliced instructions).
         self._run_extra = {"skipped": 0, "golden_total": 0}
-        self._launcher = GPUSimulator(telemetry=self.telemetry, backend=backend)
+        self._launcher = GPUSimulator(telemetry=self.telemetry, backend=self.backend)
         self.checkpoint_budget_mb = checkpoint_budget_mb
         # Thread slicing is sound only for CTAs whose threads provably do
         # not communicate; the static half of that proof is "no shared

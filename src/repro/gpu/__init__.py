@@ -28,6 +28,7 @@ from .simulator import (
     GPUSimulator,
     LaunchGeometry,
     LaunchResult,
+    resolve_backend,
 )
 from .tracing import ThreadTrace, TraceSummary, static_key_sequence, summarize
 from .vector import CompactTrace, VectorFallback, VectorProgram
@@ -70,6 +71,7 @@ __all__ = [
     "VectorProgram",
     "flip_bit",
     "pack_params",
+    "resolve_backend",
     "static_key_sequence",
     "summarize",
 ]

@@ -42,6 +42,13 @@ DEFAULT_MAX_STEPS = 1_000_000
 #: lockstep execution cannot prove classic-identical results.
 BACKENDS = ("interpreter", "compiled", "vectorized")
 
+#: CTA width from which ``backend="auto"`` picks the vectorized backend.
+#: A lockstep step costs about the same for 32 or 256 lanes while the
+#: compiled backend pays per lane; on the deeploop microkernel the two
+#: cross between 64 and 128 lanes (``docs/performance.md``, "Backend
+#: selection").
+VECTORIZED_MIN_LANES = 128
+
 #: Cache-size bound for pooled contexts / bound chains / specials dicts;
 #: cleared wholesale on overflow (campaigns touch far fewer keys).
 _POOL_LIMIT = 4096
@@ -88,6 +95,26 @@ class LaunchGeometry:
             ("nctaid", "y"): self.grid[1],
             ("nctaid", "z"): 1,
         }
+
+
+def resolve_backend(backend: str, geometry: LaunchGeometry) -> str:
+    """Collapse ``"auto"`` to a concrete backend name for ``geometry``.
+
+    Auto picks ``vectorized`` for CTAs of at least
+    :data:`VECTORIZED_MIN_LANES` threads and ``compiled`` for narrower
+    ones — decided from the launch shape alone, before any golden run.
+    Concrete names pass through unchanged; outcomes are identical on
+    every backend, so the choice only moves speed.
+    """
+    if backend == "auto":
+        if geometry.threads_per_cta >= VECTORIZED_MIN_LANES:
+            return "vectorized"
+        return "compiled"
+    if backend not in BACKENDS:
+        raise SimulatorError(
+            f"unknown backend {backend!r}; expected 'auto' or one of {BACKENDS}"
+        )
+    return backend
 
 
 @dataclass

@@ -39,6 +39,7 @@ from queue import Empty
 
 from ..errors import ReproError
 from ..stats.intervals import wilson_ci
+from ..telemetry.progress import _format_duration
 
 #: Version stamped on ``/status`` JSON snapshots and flight-recorder
 #: dumps so downstream consumers (the future ``repro.serve`` layer, CI
@@ -553,15 +554,6 @@ class LiveAggregator:
 
     def render(self, width: int = 78) -> str:
         return render_live(self.snapshot(), width=width)
-
-
-def _format_duration(seconds: float) -> str:
-    seconds = int(round(seconds))
-    if seconds < 60:
-        return f"{seconds}s"
-    if seconds < 3600:
-        return f"{seconds // 60}m{seconds % 60:02d}s"
-    return f"{seconds // 3600}h{(seconds % 3600) // 60:02d}m"
 
 
 def render_live(snapshot: dict, width: int = 78) -> str:

@@ -75,7 +75,7 @@ class SimRunEvent(TelemetryEvent):
     hang: bool
     memory_fault: bool
     duration_s: float
-    backend: str = "interpreter"  # "interpreter" | "compiled"
+    backend: str = "interpreter"  # the backend that ran; never "auto"
     checkpoint_interval: int = 0  # 0 = checkpointing disabled
     skipped_instructions: int = 0  # golden prefix skipped via checkpoints
     worker: str | None = None  # pool worker name; None when serial
@@ -92,7 +92,7 @@ class InjectionEvent(TelemetryEvent):
     outcome: str  # Outcome value: "masked" | "sdc" | "crash" | "hang"
     fast_path: bool  # classified via the CTA-sliced path (no fallback)
     duration_s: float
-    backend: str = "interpreter"  # "interpreter" | "compiled"
+    backend: str = "interpreter"  # the backend that ran; never "auto"
     checkpoint_interval: int = 0  # 0 = checkpointing disabled
     suffix_instructions: int = 0  # instructions actually executed (suffix only)
     #: Effective dynamic instruction count the injection *accounts for*:

@@ -15,10 +15,18 @@ import os
 import numpy as np
 import pytest
 
-from repro import FaultInjector, load_instance, random_campaign
+from repro import BACKENDS, FaultInjector, all_kernels, load_instance, random_campaign
 from repro.errors import SimulatorError
-from repro.gpu import GPUSimulator, derive_checkpoint_interval
+from repro.gpu import (
+    GPUSimulator,
+    LaunchGeometry,
+    derive_checkpoint_interval,
+    resolve_backend,
+)
+from repro.gpu.simulator import VECTORIZED_MIN_LANES
+from repro.kernels import deeploop
 from repro.parallel import ParallelCampaignRunner
+from repro.telemetry import InjectionEvent, MemorySink, SimRunEvent, Telemetry
 
 START_METHOD = os.environ.get("REPRO_TEST_START_METHOD") or None
 
@@ -33,7 +41,7 @@ KEYS = ("pathfinder.k1", "2dconv.k1", "k-means.k1")
 @pytest.fixture(scope="module", params=KEYS)
 def backend_pair(request):
     key = request.param
-    interp = FaultInjector(load_instance(key))
+    interp = FaultInjector(load_instance(key), backend="interpreter")
     compiled = FaultInjector(load_instance(key), backend="compiled")
     return key, interp, compiled
 
@@ -69,7 +77,11 @@ class TestBackendEquivalence:
 
 def test_compiled_with_checkpoints_matches_full_prefix_interpreter():
     reference = random_campaign(
-        FaultInjector(load_instance("pathfinder.k1"), checkpoint_interval=0),
+        FaultInjector(
+            load_instance("pathfinder.k1"),
+            backend="interpreter",
+            checkpoint_interval=0,
+        ),
         N_SITES,
         rng=SEED,
     )
@@ -86,7 +98,9 @@ def test_compiled_with_checkpoints_matches_full_prefix_interpreter():
 
 def test_compiled_two_workers_matches_serial_interpreter():
     serial = random_campaign(
-        FaultInjector(load_instance("2dconv.k1")), N_SITES, rng=SEED
+        FaultInjector(load_instance("2dconv.k1"), backend="interpreter"),
+        N_SITES,
+        rng=SEED,
     )
     pooled = random_campaign(
         FaultInjector(load_instance("2dconv.k1"), backend="compiled"),
@@ -99,7 +113,7 @@ def test_compiled_two_workers_matches_serial_interpreter():
 
 
 def test_golden_state_handoff_skips_golden_run():
-    parent = FaultInjector(load_instance("2dconv.k1"))
+    parent = FaultInjector(load_instance("2dconv.k1"), backend="interpreter")
     child = FaultInjector(
         load_instance("2dconv.k1"),
         verify_golden=False,
@@ -117,6 +131,65 @@ def test_unknown_backend_rejected():
         GPUSimulator(backend="jit")
     with pytest.raises(SimulatorError):
         FaultInjector(load_instance("k-means.k1"), backend="jit")
+
+
+class TestAutoBackend:
+    def test_registry_kernels_resolve_to_compiled(self):
+        for spec in all_kernels():
+            geometry = spec.build().geometry
+            assert resolve_backend("auto", geometry) == "compiled", spec.key
+
+    def test_wide_ctas_resolve_to_vectorized(self):
+        # Geometry alone decides: staging the instance runs nothing.
+        paper_gemm = load_instance("gemm.k1", scale="paper").geometry
+        assert resolve_backend("auto", paper_gemm) == "vectorized"
+        assert resolve_backend("auto", deeploop.build().geometry) == "vectorized"
+
+    def test_threshold_is_the_cta_width(self):
+        narrow = LaunchGeometry(grid=(64, 1), block=(VECTORIZED_MIN_LANES - 1, 1))
+        wide = LaunchGeometry(grid=(1, 1), block=(VECTORIZED_MIN_LANES, 1))
+        assert resolve_backend("auto", narrow) == "compiled"
+        assert resolve_backend("auto", wide) == "vectorized"
+
+    def test_explicit_names_pass_through(self):
+        geometry = load_instance("gemm.k1", scale="paper").geometry
+        for name in BACKENDS:
+            assert resolve_backend(name, geometry) == name
+
+    def test_unknown_name_lists_auto(self):
+        geometry = load_instance("k-means.k1").geometry
+        with pytest.raises(SimulatorError, match="'auto'"):
+            resolve_backend("jit", geometry)
+
+    def test_default_injector_reports_a_concrete_backend(self):
+        telemetry = Telemetry(sink=MemorySink())
+        narrow = FaultInjector(load_instance("k-means.k1"), telemetry=telemetry)
+        assert narrow.backend == "compiled"
+        assert narrow._launcher.backend == "compiled"
+        random_campaign(narrow, 4, rng=SEED)
+        events = telemetry.sink.of_type(InjectionEvent)
+        golden = [e for e in telemetry.sink.of_type(SimRunEvent) if e.kind == "golden"]
+        assert events and golden
+        assert {e.backend for e in events} | {e.backend for e in golden} == {
+            "compiled"
+        }
+        wide = FaultInjector(deeploop.build(n_threads=256, block_threads=128, iters=4))
+        assert wide.backend == "vectorized"
+
+    def test_pool_ships_the_resolved_backend(self):
+        telemetry = Telemetry(sink=MemorySink())
+        injector = FaultInjector(load_instance("2dconv.k1"), telemetry=telemetry)
+        assert injector.backend == "compiled"
+        random_campaign(
+            injector,
+            16,
+            rng=SEED,
+            executor=ParallelCampaignRunner(2, chunk_size=4, start_method=START_METHOD),
+        )
+        events = telemetry.sink.of_type(InjectionEvent)
+        assert len(events) == 16
+        assert all(e.worker for e in events)  # classified in the workers
+        assert {e.backend for e in events} == {"compiled"}
 
 
 class TestAutoCheckpointInterval:

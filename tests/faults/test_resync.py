@@ -148,7 +148,7 @@ class TestExtendedModels:
     def test_store_address_and_register_file_equivalent(self):
         import numpy as np
 
-        base = FaultInjector(load_instance("k-means.k1"))
+        base = FaultInjector(load_instance("k-means.k1"), backend="interpreter")
         rs = FaultInjector(load_instance("k-means.k1"), resync=True)
         thread = max(range(len(base.traces)), key=lambda t: len(base.traces[t]))
         for site in base.store_address_sites(thread)[:16]:
@@ -168,7 +168,9 @@ class TestPropagationComposition:
         """Traced campaigns keep identical PropagationRecord signatures
         on sites that splice (resync shares the golden stream cache with
         the tracer instead of short-circuiting it)."""
-        base = FaultInjector(load_instance("pathfinder.k1"), propagation=True)
+        base = FaultInjector(
+            load_instance("pathfinder.k1"), backend="interpreter", propagation=True
+        )
         rs = FaultInjector(
             load_instance("pathfinder.k1"), propagation=True, resync=True
         )
@@ -322,7 +324,7 @@ class TestMonitorPrimitives:
         """A stream full of specials (NaN/zero registers) must never
         splice unsoundly: outcomes match the reference bit-for-bit."""
         instance = build_loop_sum_instance(n_threads=4, iters=6)
-        base = FaultInjector(instance, verify_golden=False)
+        base = FaultInjector(instance, verify_golden=False, backend="interpreter")
         rs = FaultInjector(instance, verify_golden=False, resync=True)
         import numpy as np
 

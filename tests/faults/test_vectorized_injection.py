@@ -31,7 +31,7 @@ KEYS = ("pathfinder.k1", "2dconv.k1", "k-means.k1")
 @pytest.fixture(scope="module", params=KEYS)
 def backend_pair(request):
     key = request.param
-    interp = FaultInjector(load_instance(key))
+    interp = FaultInjector(load_instance(key), backend="interpreter")
     vectorized = FaultInjector(load_instance(key), backend="vectorized")
     return key, interp, vectorized
 
@@ -70,7 +70,11 @@ class TestBackendEquivalence:
 
 def test_vectorized_with_checkpoints_matches_full_prefix_interpreter():
     reference = random_campaign(
-        FaultInjector(load_instance("pathfinder.k1"), checkpoint_interval=0),
+        FaultInjector(
+            load_instance("pathfinder.k1"),
+            backend="interpreter",
+            checkpoint_interval=0,
+        ),
         N_SITES,
         rng=SEED,
     )
@@ -89,7 +93,9 @@ def test_vectorized_with_checkpoints_matches_full_prefix_interpreter():
 
 def test_vectorized_two_workers_matches_serial_interpreter():
     serial = random_campaign(
-        FaultInjector(load_instance("2dconv.k1")), N_SITES, rng=SEED
+        FaultInjector(load_instance("2dconv.k1"), backend="interpreter"),
+        N_SITES,
+        rng=SEED,
     )
     pooled = random_campaign(
         FaultInjector(load_instance("2dconv.k1"), backend="vectorized"),
@@ -102,7 +108,7 @@ def test_vectorized_two_workers_matches_serial_interpreter():
 
 
 def test_golden_state_handoff_skips_golden_run():
-    parent = FaultInjector(load_instance("2dconv.k1"))
+    parent = FaultInjector(load_instance("2dconv.k1"), backend="interpreter")
     child = FaultInjector(
         load_instance("2dconv.k1"),
         verify_golden=False,

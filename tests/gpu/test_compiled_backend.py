@@ -293,7 +293,7 @@ def test_fuzzed_programs_execute_identically(seed, backend):
 def test_fuzzed_injection_outcomes_identical(seed, backend):
     """All three fault models agree on random programs (arming layer)."""
     instance = build_fuzz_instance(seed)
-    interp = FaultInjector(instance, verify_golden=False)
+    interp = FaultInjector(instance, verify_golden=False, backend="interpreter")
     candidate = FaultInjector(instance, verify_golden=False, backend=backend)
     rng = np.random.default_rng(seed)
 

@@ -337,7 +337,7 @@ class TestRenderLive:
 
 @pytest.fixture(scope="module")
 def conv2d_serial():
-    injector = FaultInjector(load_instance("2dconv.k1"))
+    injector = FaultInjector(load_instance("2dconv.k1"), backend="interpreter")
     result = random_campaign(injector, N_SITES, rng=SEED)
     return result
 

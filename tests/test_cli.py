@@ -80,7 +80,8 @@ def test_profile_with_full_instrumentation(tmp_path, capsys):
     assert manifest.config == {
         "loop_iters": 2, "bits": 4, "seed": 2018, "workers": 1,
         "checkpoint_interval": "auto", "checkpoint_budget_mb": 64.0,
-        "backend": "interpreter", "propagation": False,
+        # The flag defaults to "auto"; the manifest records what ran.
+        "backend": "compiled", "propagation": False,
         "resync": False, "resync_window": 128, "audit_groups": 0,
     }
     # The recorded profile matches the percentages printed to stdout.
@@ -89,6 +90,19 @@ def test_profile_with_full_instrumentation(tmp_path, capsys):
     assert f"sdc={pct['sdc']:.2f}%" in out
     assert manifest.metrics["counters"]["injections.total"] == len(injections)
     assert manifest.wall_clock_s > 0
+
+
+def test_auto_backend_output_matches_interpreter(tmp_path, capsys):
+    args = ["profile", "gaussian.k125", "--bits", "4", "--loop-iters", "2"]
+    assert main(args) == 0
+    auto_out = capsys.readouterr().out
+    manifest_path = tmp_path / "run.json"
+    assert main(
+        [*args, "--backend", "interpreter", "--manifest", str(manifest_path)]
+    ) == 0
+    interp_out = capsys.readouterr().out
+    assert interp_out == auto_out + f"wrote manifest {manifest_path}\n"
+    assert load_manifest(manifest_path).config["backend"] == "interpreter"
 
 
 def test_baseline_with_manifest(tmp_path, capsys):
