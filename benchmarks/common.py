@@ -17,9 +17,8 @@ serial runs, only the wall clock changes.
 
 ``REPRO_BENCH_CHECKPOINT_INTERVAL=K`` sets the checkpointed fast-forward
 interval (snapshot every K dynamic instructions; 0 = disabled; ``auto`` —
-the default — derives K per kernel from trace depth) with
-``REPRO_BENCH_CHECKPOINT_BUDGET_MB`` bounding per-process snapshot memory
-— again bit-for-bit identical results, only faster deep injections.
+the default — derives K per kernel from trace depth) — again bit-for-bit
+identical results, only faster deep injections.
 
 ``REPRO_BENCH_BACKEND={interpreter,compiled,vectorized,auto}`` selects
 the execution backend every harness-built injector uses (identical
@@ -62,9 +61,6 @@ CHECKPOINT_INTERVAL: int | str = os.environ.get(
 )
 if CHECKPOINT_INTERVAL != "auto":
     CHECKPOINT_INTERVAL = int(CHECKPOINT_INTERVAL)
-CHECKPOINT_BUDGET_MB = float(
-    os.environ.get("REPRO_BENCH_CHECKPOINT_BUDGET_MB", "64")
-)
 BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "interpreter")
 
 
@@ -106,7 +102,6 @@ def injector_for(key: str) -> FaultInjector:
         _injectors[key] = FaultInjector(
             load_instance(key),
             checkpoint_interval=CHECKPOINT_INTERVAL,
-            checkpoint_budget_mb=CHECKPOINT_BUDGET_MB,
             backend=BACKEND,
         )
     return _injectors[key]
@@ -156,7 +151,6 @@ def emit(name: str, text: str) -> None:
             "full": FULL,
             "workers": WORKERS,
             "checkpoint_interval": CHECKPOINT_INTERVAL,
-            "checkpoint_budget_mb": CHECKPOINT_BUDGET_MB,
             "backend": BACKEND,
         },
         seed=SETTINGS.seed,
@@ -171,7 +165,6 @@ def bench_config() -> dict:
         "full": FULL,
         "workers": WORKERS,
         "checkpoint_interval": CHECKPOINT_INTERVAL,
-        "checkpoint_budget_mb": CHECKPOINT_BUDGET_MB,
         "backend": BACKEND,
     }
 

@@ -56,7 +56,6 @@ from . import (
     random_campaign,
     resolve_executor,
 )
-from .faults.resync import DEFAULT_RESYNC_WINDOW
 from .gpu.simulator import VECTORIZED_MIN_LANES
 from .stats import sample_size_worst_case
 from .telemetry import (
@@ -112,13 +111,6 @@ def _add_instrumentation_args(sub: argparse.ArgumentParser) -> None:
         "identical either way)",
     )
     sub.add_argument(
-        "--checkpoint-budget-mb",
-        type=float,
-        metavar="MB",
-        default=64.0,
-        help="LRU memory budget for checkpoint snapshots (per process)",
-    )
-    sub.add_argument(
         "--backend",
         choices=("auto", *BACKENDS),
         default="auto",
@@ -134,22 +126,6 @@ def _add_instrumentation_args(sub: argparse.ArgumentParser) -> None:
         help="trace fault propagation per injection (corruption lineage, "
         "divergence/masking points, output geometry); records ride the "
         "telemetry event stream and feed 'repro report --propagation'",
-    )
-    sub.add_argument(
-        "--resync",
-        action="store_true",
-        help="golden-resync early exit: once a faulty run reconverges "
-        "with the cached golden stream inside the divergence window, "
-        "splice the golden suffix instead of executing it (profiles are "
-        "identical either way)",
-    )
-    sub.add_argument(
-        "--resync-window",
-        type=int,
-        metavar="W",
-        default=DEFAULT_RESYNC_WINDOW,
-        help="post-flip instructions to scan for reconvergence before "
-        "giving up and running the suffix normally",
     )
 
 
@@ -396,11 +372,8 @@ def _checkpoint_kwargs(args) -> dict:
         interval = int(interval)
     return {
         "checkpoint_interval": interval,
-        "checkpoint_budget_mb": args.checkpoint_budget_mb,
         "backend": args.backend,
         "propagation": args.propagation,
-        "resync": args.resync,
-        "resync_window": args.resync_window,
     }
 
 
@@ -581,11 +554,8 @@ def cmd_profile(args) -> int:
                 "seed": args.seed,
                 "workers": args.workers,
                 "checkpoint_interval": args.checkpoint_interval,
-                "checkpoint_budget_mb": args.checkpoint_budget_mb,
                 "backend": args.backend,
                 "propagation": args.propagation,
-                "resync": args.resync,
-                "resync_window": args.resync_window,
                 "audit_groups": args.audit_groups,
                 **_live_config(args),
             },
@@ -660,10 +630,7 @@ def cmd_baseline(args) -> int:
                 "runs": n,
                 "workers": args.workers,
                 "checkpoint_interval": args.checkpoint_interval,
-                "checkpoint_budget_mb": args.checkpoint_budget_mb,
                 "backend": args.backend,
-                "resync": args.resync,
-                "resync_window": args.resync_window,
                 **_live_config(args),
             },
             seed=args.seed,
@@ -713,10 +680,7 @@ def cmd_stages(args) -> int:
                 "bits": args.bits,
                 "workers": args.workers,
                 "checkpoint_interval": args.checkpoint_interval,
-                "checkpoint_budget_mb": args.checkpoint_budget_mb,
                 "backend": args.backend,
-                "resync": args.resync,
-                "resync_window": args.resync_window,
             },
             events_path=args.telemetry_out,
         )
@@ -750,10 +714,7 @@ def cmd_metrics(args) -> int:
                 "seed": args.seed,
                 "workers": args.workers,
                 "checkpoint_interval": args.checkpoint_interval,
-                "checkpoint_budget_mb": args.checkpoint_budget_mb,
                 "backend": args.backend,
-                "resync": args.resync,
-                "resync_window": args.resync_window,
                 **_live_config(args),
             },
             seed=args.seed,

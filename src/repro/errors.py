@@ -44,31 +44,6 @@ class ExecutionFault(SimulatorError):
     """A non-memory dynamic fault (e.g. corrupted operand state)."""
 
 
-class ResyncReached(Exception):
-    """Control-flow signal: a faulty run reconverged with golden state.
-
-    Raised by the resync monitor (``repro.faults.resync``) from inside a
-    per-instruction sink once the injected thread's architectural state
-    and write stream are provably byte-identical to the golden run — the
-    remaining suffix is then spliced from golden artifacts instead of
-    being executed.  Deliberately *not* a :class:`ReproError`: it is a
-    non-error unwind that must never be classified as a crash or hang.
-    """
-
-    def __init__(
-        self, resync_dyn: int, flip_dyn: int, from_memo: bool = False,
-        window_reads: tuple = (),
-    ) -> None:
-        super().__init__(f"resynchronised with golden at dyn {resync_dyn}")
-        self.resync_dyn = resync_dyn
-        self.flip_dyn = flip_dyn
-        self.from_memo = from_memo
-        #: ``(address, nbytes)`` loads issued inside the divergence window
-        #: (memo-hit splices replay these into the caller's read log so
-        #: thread-slice interference checks stay byte-identical).
-        self.window_reads = window_reads
-
-
 class FaultInjectionError(ReproError):
     """Misuse of the fault-injection API (site out of range, no dest, ...)."""
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from ..errors import FaultInjectionError, HangDetected, MemoryFault, ResyncReached
+from ..errors import FaultInjectionError, HangDetected, MemoryFault
 from ..gpu import GPUSimulator, GlobalMemory, resolve_backend
 from ..gpu.checkpoint import (
     DEFAULT_BUDGET_MB,
@@ -63,13 +63,6 @@ from ..kernels.registry import KernelInstance
 from ..telemetry import NULL_TELEMETRY, InjectionEvent, Telemetry
 from .model import FaultModel, InjectionSpec, RegisterFileSite, StoreAddressSite
 from .outcome import Outcome
-from .resync import (
-    DEFAULT_RESYNC_WINDOW,
-    GoldenStreamCache,
-    ResyncMemo,
-    ResyncMonitor,
-    control_pcs,
-)
 from .site import FaultSite
 from .space import FaultSpace
 
@@ -126,8 +119,6 @@ class FaultInjector:
         backend: str = "auto",
         golden: GoldenState | None = None,
         propagation: bool = False,
-        resync: bool = False,
-        resync_window: int = DEFAULT_RESYNC_WINDOW,
     ) -> None:
         self.instance = instance
         self.hang_factor = hang_factor
@@ -146,19 +137,9 @@ class FaultInjector:
         #: set (used by the coherence audit); None outside audits.
         self.injection_group: str | None = None
         self._tracer = None  # built lazily on the first traced injection
-        #: Golden-resync early exit: once a faulty run provably
-        #: reconverges with golden, splice the suffix instead of
-        #: executing it (see ``repro.faults.resync``).
-        self.resync = resync
-        self.resync_window = max(1, int(resync_window))
-        self._resync_memo = ResyncMemo() if resync else None
-        self._resync_pcs = control_pcs(instance.program) if resync else None
-        self._golden_streams: GoldenStreamCache | None = None
-        self._golden_interferes: dict[int, bool] = {}
-        self._cta_trace_totals: dict[int, int] = {}
-        #: Per-run accounting scratch for effective-iCnt event fields
-        #: (checkpoint-skipped + resync-spliced instructions).
-        self._run_extra = {"skipped": 0, "golden_total": 0}
+        #: Golden-prefix instructions the current injection's checkpoint
+        #: restore skipped (counted into its event's effective iCnt).
+        self._skipped = 0
         self._launcher = GPUSimulator(telemetry=self.telemetry, backend=self.backend)
         self.checkpoint_budget_mb = checkpoint_budget_mb
         # Thread slicing is sound only for CTAs whose threads provably do
@@ -254,73 +235,6 @@ class FaultInjector:
             thread_write_logs=self._thread_write_logs,
         )
 
-    def golden_streams(self) -> GoldenStreamCache:
-        """The shared per-thread golden observation streams (lazy).
-
-        One cache serves both the resync monitor and the propagation
-        tracer, so ``resync=True`` composed with ``propagation=True``
-        captures each thread's golden comparison stream once.
-        """
-        streams = self._golden_streams
-        if streams is None:
-            streams = self._golden_streams = GoldenStreamCache(self)
-        return streams
-
-    def _build_resync_monitor(
-        self, thread: int, spec: InjectionSpec, read_log, path_tag: str
-    ) -> ResyncMonitor | None:
-        """One convergence monitor for one faulty run; ``None`` = futile.
-
-        A flip on the thread's final dynamic instruction has no post-flip
-        observation point (the post-exit state is unobservable), so no
-        monitor is armed and the run executes to completion as before.
-        """
-        trace = self.traces[thread]
-        if spec.dyn_index >= len(trace) - 1:
-            return None
-        bar_pcs, shared_store_pcs = self._resync_pcs
-        return ResyncMonitor(
-            thread,
-            self.golden_streams().stream(thread),
-            trace,
-            spec.dyn_index,
-            self.resync_window,
-            self._scratch_memory,
-            self._resync_memo,
-            path_tag,
-            bar_pcs,
-            shared_store_pcs,
-            read_log=read_log,
-        )
-
-    def _golden_thread_interferes(self, thread: int, cta: int) -> bool:
-        """Would the thread's own *golden* writes interfere with siblings?
-
-        A spliced run's write sequence is exactly a golden prefix, so the
-        only interference term its unexecuted suffix can contribute is a
-        golden write-write overlap — precomputable per thread.  (Golden
-        reads cannot interfere: a sliceable CTA's golden reads never
-        touch its golden writes, by the sliceability criterion.)
-        """
-        cached = self._golden_interferes.get(thread)
-        if cached is None:
-            own = self._thread_write_offsets[thread]
-            counts = self._thread_write_count[cta]
-            cached = bool(own.size and (counts[own] > 1).any())
-            self._golden_interferes[thread] = cached
-        return cached
-
-    def _cta_trace_total(self, cta: int) -> int:
-        """Total golden dynamic instructions of one CTA (splice scope)."""
-        total = self._cta_trace_totals.get(cta)
-        if total is None:
-            tpc = self.instance.geometry.threads_per_cta
-            total = sum(
-                len(self.traces[cta * tpc + slot]) for slot in range(tpc)
-            )
-            self._cta_trace_totals[cta] = total
-        return total
-
     def _build_ownership_masks(self, result) -> None:
         """Byte-ownership masks over the allocated heap window.
 
@@ -402,9 +316,20 @@ class FaultInjector:
         self, thread: int, spec: InjectionSpec, label: str | None = None
     ) -> Outcome:
         """Classify one injection of any fault model (fast path)."""
+        return self._inject(self._run_spec, thread, spec, label, sliced=True)
+
+    def _inject(
+        self, run, thread: int, spec: InjectionSpec, label: str | None, sliced: bool
+    ) -> Outcome:
+        """Classify one injection through ``run``; instrumented campaigns
+        also time it and record its :class:`InjectionEvent`.
+
+        ``sliced`` marks the fast-path runner, whose event reports
+        ``fast_path`` unless the run fell back to a full re-execution.
+        """
         telemetry = self.telemetry
         if not telemetry.enabled:
-            outcome = self._run_spec(thread, spec, label)
+            outcome = run(thread, spec, label)
             if self.propagation:
                 self._trace_propagation(thread, spec, outcome)
             return outcome
@@ -414,11 +339,11 @@ class FaultInjector:
         instructions_before = instructions.value
         prev_phases = telemetry.phases
         telemetry.phases = phases = {}
-        self._run_extra = extra = {"skipped": 0, "golden_total": 0}
+        self._skipped = 0
         record = None
         try:
             with telemetry.span("injection"):
-                outcome = self._run_spec(thread, spec, label)
+                outcome = run(thread, spec, label)
                 # Counter delta snapshots the *classifying* run before the
                 # diagnostic replay (which uses a NULL_TELEMETRY simulator
                 # and must never show up in campaign attribution).
@@ -432,12 +357,12 @@ class FaultInjector:
             thread,
             spec,
             outcome,
-            fast_path=self.fallback_count == fallbacks_before,
+            fast_path=sliced and self.fallback_count == fallbacks_before,
             duration_s=time.perf_counter() - t0,
             phases=phases,
             suffix_instructions=suffix_instructions,
+            skipped_instructions=self._skipped,
             propagation=record,
-            extra=extra,
         )
         return outcome
 
@@ -481,13 +406,9 @@ class FaultInjector:
         telemetry = self.telemetry
         faulty_log: list[tuple[int, bytes]] = []
         read_log: list[tuple[int, int]] = []
-        monitor = None
-        if self.resync:
-            with telemetry.phase("resync_scan"):
-                monitor = self._build_resync_monitor(thread, spec, read_log, "t")
         with telemetry.phase("checkpoint_restore"):
             resume, prefix, plan = self._thread_checkpoint_plan(
-                thread, spec, faulty_log, monitor
+                thread, spec, faulty_log
             )
         if prefix:
             with telemetry.phase("prefix_replay"):
@@ -495,7 +416,6 @@ class FaultInjector:
         memory.write_log = faulty_log
         memory.read_log = read_log
         crashed = hanged = False
-        splice = None
         result = None
         try:
             with telemetry.phase("suffix_exec"):
@@ -513,35 +433,12 @@ class FaultInjector:
             crashed = True
         except HangDetected:
             hanged = True
-        except ResyncReached as reached:
-            splice = reached
         finally:
             memory.write_log = None
             memory.read_log = None
             full_log = prefix + faulty_log if prefix else faulty_log
             with telemetry.phase("heap_repair"):
                 memory.revert_writes(full_log, self.instance.initial_memory)
-        if monitor is not None:
-            self._note_resync(monitor, splice)
-        if splice is not None:
-            # The machine reconverged with golden: the unexecuted suffix
-            # is the golden one, so the outcome is MASKED by construction
-            # and the suffix never escapes the CTA (golden writes don't).
-            # Interference must still be ruled out — window reads of a
-            # memo hit are replayed from the stored verdict so the
-            # decision matches the run that produced it.
-            with telemetry.phase("suffix_splice"):
-                if splice.window_reads:
-                    read_log.extend(splice.window_reads)
-                self._run_extra["golden_total"] = len(self.traces[thread])
-            with telemetry.phase("classify"):
-                interferes = self._thread_run_interferes(
-                    thread, cta, full_log, read_log
-                ) or self._golden_thread_interferes(thread, cta)
-            if interferes:
-                self._run_extra["golden_total"] = 0  # CTA rung re-decides
-                return None
-            return Outcome.MASKED
         # Interference must be ruled out even for crash/hang outcomes: up
         # to the aborting access the thread's behaviour is only schedule-
         # independent if it never touched sibling-owned bytes.
@@ -568,68 +465,35 @@ class FaultInjector:
             return self._classify_patched(self._thread_patch(thread), full_log)
 
     def _thread_checkpoint_plan(
-        self,
-        thread: int,
-        spec: InjectionSpec,
-        faulty_log: list,
-        monitor: ResyncMonitor | None = None,
+        self, thread: int, spec: InjectionSpec, faulty_log: list
     ) -> tuple[ThreadCheckpoint | None, list, CheckpointPlan | None]:
-        """Resolve (resume snapshot, golden write prefix, launch plan).
-
-        With a resync monitor the plan's sink is a composite: checkpoint
-        captures keep their absolute-grid cadence below the flip via the
-        sink-return scheduling protocol, and from the flip onward every
-        fire is handed to the monitor (which schedules itself at every
-        instruction until it splices or disarms).
-        """
+        """Resolve (resume snapshot, golden write prefix, launch plan)."""
         store = self.checkpoints
-        if store is None and monitor is None:
+        if store is None:
             return None, [], None
         flip = spec.dyn_index
-        if store is not None:
-            resume = store.best_thread(thread, flip)
-            base = resume.write_count if resume is not None else 0
-            prefix = self._thread_write_logs[thread][:base] if base else []
-            interval = self.checkpoint_interval
+        resume = store.best_thread(thread, flip)
+        base = resume.write_count if resume is not None else 0
+        prefix = self._thread_write_logs[thread][:base] if base else []
 
-            def capture(dyn: int, pc: int, regs: dict) -> None:
-                if store.has_thread(thread, dyn):
-                    return
-                t0 = time.perf_counter()
-                store.put_thread(
-                    thread,
-                    ThreadCheckpoint.capture(
-                        dyn, pc, regs, base + len(faulty_log)
-                    ),
-                )
-                store.capture_s += time.perf_counter() - t0
-
-            self._note_checkpoint_lookup(
-                "thread", resume.dyn_index if resume is not None else None
+        def capture(dyn: int, pc: int, regs: dict) -> None:
+            if store.has_thread(thread, dyn):
+                return
+            t0 = time.perf_counter()
+            store.put_thread(
+                thread,
+                ThreadCheckpoint.capture(dyn, pc, regs, base + len(faulty_log)),
             )
-        else:
-            resume, prefix, interval, capture = None, [], 0, None
+            store.capture_s += time.perf_counter() - t0
 
-        if monitor is None:
-            return resume, prefix, CheckpointPlan(
-                interval=interval, resume=resume, sink=capture, limit=flip
-            )
-
-        resume_dyn = resume.dyn_index if resume is not None else 0
-        if interval > 0:
-            start = min((resume_dyn // interval + 1) * interval, flip)
-        else:
-            start = flip
-
-        def sink(dyn: int, pc: int, regs: dict) -> int:
-            if dyn < flip:
-                capture(dyn, pc, regs)
-                nxt = dyn + interval
-                return nxt if nxt < flip else flip
-            return monitor.observe(dyn, pc, regs)
-
+        self._note_checkpoint_lookup(
+            "thread", resume.dyn_index if resume is not None else None
+        )
         return resume, prefix, CheckpointPlan(
-            interval=interval, resume=resume, sink=sink, limit=flip, start=start
+            interval=self.checkpoint_interval,
+            resume=resume,
+            sink=capture,
+            limit=flip,
         )
 
     def _run_spec_cta(
@@ -647,13 +511,9 @@ class FaultInjector:
         memory = self._scratch_memory
         telemetry = self.telemetry
         faulty_log: list[tuple[int, bytes]] = []
-        monitor = None
-        if self.resync:
-            with telemetry.phase("resync_scan"):
-                monitor = self._build_resync_monitor(thread, spec, None, "c")
         with telemetry.phase("checkpoint_restore"):
             resume, prefix, plan = self._cta_checkpoint_plan(
-                cta, thread, spec, faulty_log, monitor
+                cta, thread, spec, faulty_log
             )
         if prefix:
             with telemetry.phase("prefix_replay"):
@@ -661,7 +521,6 @@ class FaultInjector:
         memory.write_log = faulty_log
         full_log = faulty_log
         crashed = hanged = False
-        splice = None
         result = None
         try:
             with telemetry.phase("suffix_exec"):
@@ -679,23 +538,11 @@ class FaultInjector:
             crashed = True
         except HangDetected:
             hanged = True
-        except ResyncReached as reached:
-            splice = reached
         finally:
             memory.write_log = None
             full_log = prefix + faulty_log if prefix else faulty_log
             with telemetry.phase("heap_repair"):
                 memory.revert_writes(full_log, self.instance.initial_memory)
-        if monitor is not None:
-            self._note_resync(monitor, splice)
-        if splice is not None:
-            # Injected thread reconverged and every byte it wrote was
-            # verified golden: the abandoned CTA remainder (its own
-            # suffix plus the siblings', which only ever saw golden
-            # state) would replay the golden run — MASKED, no escape.
-            with telemetry.phase("suffix_splice"):
-                self._run_extra["golden_total"] = self._cta_trace_total(cta)
-            return Outcome.MASKED
         if crashed:
             return Outcome.CRASH
         if hanged:
@@ -714,12 +561,7 @@ class FaultInjector:
             return self._classify_patched(self._cta_patch(cta), full_log)
 
     def _cta_checkpoint_plan(
-        self,
-        cta: int,
-        thread: int,
-        spec: InjectionSpec,
-        faulty_log: list,
-        monitor: ResyncMonitor | None = None,
+        self, cta: int, thread: int, spec: InjectionSpec, faulty_log: list
     ) -> tuple[CTACheckpoint | None, list, CheckpointPlan | None]:
         """Resolve (resume snapshot, golden write prefix, launch plan).
 
@@ -729,53 +571,39 @@ class FaultInjector:
         once the flip fires the CTA state is no longer golden.
         """
         store = self.checkpoints
-        if store is None and monitor is None:
+        if store is None:
             return None, [], None
         slot = thread % self.instance.geometry.threads_per_cta
-        sink = None
-        if store is not None:
-            resume = store.best_cta(cta, slot, spec.dyn_index)
-            base = resume.write_count if resume is not None else 0
-            prefix = self._cta_write_logs[cta][:base] if base else []
-            interval = self.checkpoint_interval
-            resume_dyn = resume.thread_dyn[slot] if resume is not None else 0
-            next_capture = [(resume_dyn // interval + 1) * interval]
+        resume = store.best_cta(cta, slot, spec.dyn_index)
+        base = resume.write_count if resume is not None else 0
+        prefix = self._cta_write_logs[cta][:base] if base else []
+        interval = self.checkpoint_interval
+        resume_dyn = resume.thread_dyn[slot] if resume is not None else 0
+        next_capture = [(resume_dyn // interval + 1) * interval]
 
-            def sink(rounds: int, threads: list, shared) -> None:
-                ctx = threads[slot]
-                if ctx.injection is None:
-                    return  # the flip already fired — state is faulty
-                if ctx.dyn_count < next_capture[0]:
-                    return
-                next_capture[0] = (ctx.dyn_count // interval + 1) * interval
-                if store.has_cta(cta, rounds):
-                    return
-                t0 = time.perf_counter()
-                store.put_cta(
-                    cta,
-                    CTACheckpoint.capture(
-                        rounds, threads, shared, base + len(faulty_log)
-                    ),
-                )
-                store.capture_s += time.perf_counter() - t0
-
-            self._note_checkpoint_lookup(
-                "cta", resume.instructions if resume is not None else None
+        def sink(rounds: int, threads: list, shared) -> None:
+            ctx = threads[slot]
+            if ctx.injection is None:
+                return  # the flip already fired — state is faulty
+            if ctx.dyn_count < next_capture[0]:
+                return
+            next_capture[0] = (ctx.dyn_count // interval + 1) * interval
+            if store.has_cta(cta, rounds):
+                return
+            t0 = time.perf_counter()
+            store.put_cta(
+                cta,
+                CTACheckpoint.capture(
+                    rounds, threads, shared, base + len(faulty_log)
+                ),
             )
-        else:
-            resume, prefix, interval = None, [], 0
+            store.capture_s += time.perf_counter() - t0
 
-        # The resync monitor rides the per-context sink slot (free in
-        # CTA-sliced runs, whose checkpoint captures use the barrier
-        # hook above) on the injected thread's context only.
+        self._note_checkpoint_lookup(
+            "cta", resume.instructions if resume is not None else None
+        )
         plan = CheckpointPlan(
-            interval=interval,
-            resume=resume,
-            sink=sink,
-            limit=spec.dyn_index,
-            step_slot=slot if monitor is not None else None,
-            step_sink=monitor.observe if monitor is not None else None,
-            step_start=spec.dyn_index,
+            interval=interval, resume=resume, sink=sink, limit=spec.dyn_index
         )
         return resume, prefix, plan
 
@@ -783,7 +611,7 @@ class FaultInjector:
         """Hit/miss/bytes telemetry for one checkpoint-store lookup."""
         # Last rung wins: a demoted thread slice's skip is superseded by
         # the CTA slice that actually decides the outcome.
-        self._run_extra["skipped"] = skipped or 0
+        self._skipped = skipped or 0
         telemetry = self.telemetry
         if not telemetry.enabled:
             return
@@ -798,46 +626,6 @@ class FaultInjector:
         telemetry.set_gauge("checkpoint.evicted", store.evicted)
         telemetry.set_gauge("checkpoint.capture_s", store.capture_s)
 
-    def _note_resync(self, monitor: ResyncMonitor, splice) -> None:
-        """Counters, gauges and phase attribution for one monitored run.
-
-        The monitor's wall clock from arming to resolution is the
-        divergence-window scan; it happened inside the launch, so it is
-        moved out of ``suffix_exec`` and into ``resync_scan`` via a
-        negative delta (the two keep summing to the bracketed time) —
-        same pattern as in-launch checkpoint restores.
-        """
-        monitor.finalize()
-        telemetry = self.telemetry
-        if not telemetry.enabled:
-            return
-        scan = monitor.scan_s
-        if scan:
-            telemetry.add_phase("resync_scan", scan)
-            telemetry.add_phase("suffix_exec", -scan)
-        if monitor.memo_checked:
-            if monitor.memo_hit:
-                telemetry.count("resync.memo_hits")
-            else:
-                telemetry.count("resync.memo_misses")
-        if splice is not None:
-            telemetry.count("resync.hits")
-            telemetry.count(
-                "resync.skipped_instructions",
-                max(monitor.stream.total - splice.resync_dyn, 0),
-            )
-        else:
-            telemetry.count("resync.misses")
-        telemetry.count("resync.window_instructions", monitor.window_span)
-        memo = self._resync_memo
-        if memo is not None:
-            telemetry.set_gauge("resync.memo_entries", len(memo))
-            telemetry.set_gauge("resync.memo_evicted", memo.evicted)
-        streams = self._golden_streams
-        if streams is not None:
-            telemetry.set_gauge("resync.capture_s", streams.capture_s)
-            telemetry.set_gauge("resync.captures", streams.captures)
-
     def inject_full(self, site: FaultSite) -> Outcome:
         """Reference slow path: re-execute the entire grid."""
         self._check_site(site)
@@ -849,37 +637,7 @@ class FaultInjector:
         self, thread: int, spec: InjectionSpec, label: str | None = None
     ) -> Outcome:
         """Classify one injection via the reference full re-execution."""
-        telemetry = self.telemetry
-        if not telemetry.enabled:
-            outcome = self._run_spec_full(thread, spec, label)
-            if self.propagation:
-                self._trace_propagation(thread, spec, outcome)
-            return outcome
-        t0 = time.perf_counter()
-        instructions = telemetry.metrics.counter("sim.instructions")
-        instructions_before = instructions.value
-        prev_phases = telemetry.phases
-        telemetry.phases = phases = {}
-        self._run_extra = extra = {"skipped": 0, "golden_total": 0}
-        record = None
-        try:
-            with telemetry.span("injection"):
-                outcome = self._run_spec_full(thread, spec, label)
-                suffix_instructions = instructions.value - instructions_before
-                if self.propagation:
-                    with telemetry.phase("propagation_trace"):
-                        record = self._trace_propagation(thread, spec, outcome)
-        finally:
-            telemetry.phases = prev_phases
-        self._record_injection(
-            thread, spec, outcome, fast_path=False,
-            duration_s=time.perf_counter() - t0,
-            phases=phases,
-            suffix_instructions=suffix_instructions,
-            propagation=record,
-            extra=extra,
-        )
-        return outcome
+        return self._inject(self._run_spec_full, thread, spec, label, sliced=False)
 
     def _run_spec_full(
         self, thread: int, spec: InjectionSpec, label: str | None = None
@@ -887,10 +645,9 @@ class FaultInjector:
         label = label if label is not None else f"t{thread}:{spec}"
         self._check_spec(thread, spec)
         telemetry = self.telemetry
-        # A full re-execution skips and splices nothing — clear any
-        # accounting left behind by a demoted sliced attempt.
-        self._run_extra["skipped"] = 0
-        self._run_extra["golden_total"] = 0
+        # A full re-execution skips nothing — clear any accounting left
+        # behind by a demoted sliced attempt.
+        self._skipped = 0
         with telemetry.phase("heap_repair"):
             memory = self.instance.initial_memory.snapshot()
         max_steps = max(self._cta_budget)
@@ -1001,37 +758,27 @@ class FaultInjector:
         duration_s: float,
         phases: dict[str, float] | None = None,
         suffix_instructions: int = 0,
+        skipped_instructions: int = 0,
         propagation=None,
-        extra: dict | None = None,
     ) -> None:
         """Counters + one :class:`InjectionEvent` per classified injection."""
         telemetry = self.telemetry
         # Effective dynamic iCnt: what the injection *covered*, not what
-        # it executed — executed suffix + checkpoint-skipped prefix +
-        # resync-spliced golden remainder.  Keeps hang-budget shares and
-        # latency-by-depth tertiles comparable across instrumentation
-        # settings.
-        skipped = extra["skipped"] if extra else 0
-        golden_total = extra["golden_total"] if extra else 0
-        spliced = (
-            max(golden_total - skipped - suffix_instructions, 0)
-            if golden_total
-            else 0
-        )
-        effective = suffix_instructions + skipped + spliced
+        # it executed — executed suffix + checkpoint-skipped prefix.
+        # Keeps hang-budget shares and latency-by-depth tertiles
+        # comparable across checkpoint settings.
+        effective = suffix_instructions + skipped_instructions
         telemetry.count("injections.total")
         telemetry.count(
             "injections.fast_path" if fast_path else "injections.full_rerun"
         )
-        # The aggregates live under ``work.`` rather than ``injections.``:
+        # The aggregate lives under ``work.`` rather than ``injections.``:
         # like ``sim.instructions``, a crash-truncated count follows the
         # backend's lane schedule (lockstep lanes advance past the abort
-        # point, sequential threads don't), so the totals are equivalence-
-        # comparable across checkpoint/resync settings but not across
-        # backends — keep them out of the invariant namespaces.
+        # point, sequential threads don't), so the total is equivalence-
+        # comparable across checkpoint settings but not across backends —
+        # keep it out of the invariant namespaces.
         telemetry.count("work.effective_instructions", effective)
-        if spliced:
-            telemetry.count("work.spliced_instructions", spliced)
         telemetry.count(f"outcome.{outcome.value}")
         telemetry.observe("injection_s", duration_s)
         if phases:
@@ -1053,7 +800,6 @@ class FaultInjector:
                 checkpoint_interval=self.checkpoint_interval,
                 suffix_instructions=suffix_instructions,
                 effective_instructions=effective,
-                spliced_instructions=spliced,
                 phases=phases or None,
                 propagation=propagation.to_dict() if propagation else None,
                 group=self.injection_group,

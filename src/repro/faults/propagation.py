@@ -56,6 +56,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: count is always recorded so truncation is visible.
 MAX_CORRUPTION_EVENTS = 64
 
+#: Golden per-thread snapshot streams kept; cleared wholesale on overflow
+#: (campaigns hammer few threads, audits touch many once).
+_GOLDEN_CACHE_LIMIT = 32
+
 _MISSING = object()
 
 
@@ -223,6 +227,7 @@ class PropagationTracer:
         self._sim = GPUSimulator(
             telemetry=NULL_TELEMETRY, backend=injector.backend
         )
+        self._golden: dict[int, list[dict]] = {}
 
     # ------------------------------------------------------------- replays
 
@@ -264,11 +269,39 @@ class PropagationTracer:
         final instruction is unobservable — and irrelevant: a thread's
         last instruction is an exit, which writes no register).
 
-        Delegates to the injector's :class:`GoldenStreamCache` so the
-        resync monitor and the propagation tracer share one capture per
-        thread instead of replaying the golden CTA twice.
+        Captured once per thread on the private simulator: sliceable
+        CTAs replay just the thread, others replay the owning CTA.
         """
-        return self._injector.golden_streams().stream(thread).snaps
+        cached = self._golden.get(thread)
+        if cached is not None:
+            return cached
+        if len(self._golden) >= _GOLDEN_CACHE_LIMIT:
+            self._golden.clear()
+        injector = self._injector
+        instance = injector.instance
+        cta = instance.geometry.cta_of_thread(thread)
+        memory = injector._scratch_memory
+        snaps: list[dict] = []
+
+        def sink(dyn: int, pc: int, regs: dict) -> None:
+            snaps.append(dict(regs))
+
+        slicing = {"only_thread": thread} if injector._cta_sliceable[cta] else {
+            "only_cta": cta
+        }
+        result = self._sim.launch(
+            instance.program,
+            instance.geometry,
+            instance.param_bytes,
+            memory=memory,
+            record_write_logs=True,
+            max_steps=injector._cta_budget[cta],
+            step_trace=(thread, sink),
+            **slicing,
+        )
+        memory.revert_writes(result.cta_write_logs[cta], instance.initial_memory)
+        self._golden[thread] = snaps
+        return snaps
 
     # --------------------------------------------------------------- trace
 

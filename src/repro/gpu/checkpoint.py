@@ -40,7 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (thread -> checkpoint
     from .memory import SharedMemory
     from .thread import ThreadContext
 
-#: Default snapshot-memory budget (``--checkpoint-budget-mb``).
+#: Default per-process snapshot-memory budget in MiB
+#: (``FaultInjector(checkpoint_budget_mb=)``).
 DEFAULT_BUDGET_MB = 64.0
 
 #: Kernels whose deep tertile is shallower than this skip checkpointing:
@@ -202,29 +203,12 @@ class CheckpointPlan:
     ``sink(barrier_rounds, threads, shared)`` at every barrier release for
     CTA-sliced runs.  The sink owns all golden-validity and dedup policy;
     the simulator only reports reachable capture points.
-
-    ``start`` overrides the first fire index of a thread-sliced ``sink``
-    (required when ``interval`` is 0 — a return-driven sink with no
-    checkpoint grid, e.g. a resync monitor with checkpointing disabled).
-
-    The ``step_*`` fields install a second, *per-instruction* sink on one
-    thread of a CTA-sliced run — the resync monitor's observation hook.
-    ``step_sink(dyn, pc, regs)`` fires at every loop head of the thread in
-    CTA slot ``step_slot`` from dynamic index ``step_start`` onwards, and
-    schedules itself by returning the next fire index (``-1`` disarms).
-    It rides the same per-context sink slot as thread-sliced checkpoint
-    capture, which CTA-sliced runs leave free (their captures ride the
-    barrier hook instead).
     """
 
     interval: int
     resume: ThreadCheckpoint | CTACheckpoint | None = None
     sink: Callable | None = None
     limit: int = -1
-    start: int | None = None
-    step_slot: int | None = None
-    step_sink: Callable | None = None
-    step_start: int = 0
 
 
 class CheckpointStore:

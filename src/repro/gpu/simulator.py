@@ -458,14 +458,11 @@ class GPUSimulator:
                             threads[0].resume_from(resume)
                             self._note_restore(time.perf_counter() - restore_t0)
                             skipped = resume.dyn_index
-                        if checkpoint.sink is not None and (
-                            checkpoint.interval > 0 or checkpoint.start is not None
-                        ):
+                        if checkpoint.sink is not None and checkpoint.interval > 0:
                             threads[0].plan_checkpoints(
                                 checkpoint.interval,
                                 checkpoint.limit,
                                 checkpoint.sink,
-                                start=checkpoint.start,
                             )
                     else:
                         if resume is not None:
@@ -485,16 +482,6 @@ class GPUSimulator:
                                 _sink=checkpoint.sink, _shared=shared,
                             ):
                                 _sink(rounds, cta_threads, _shared)
-
-                        if checkpoint.step_sink is not None:
-                            # Per-instruction observation of one thread
-                            # (the resync monitor) — the per-context sink
-                            # slot is free in CTA-sliced runs, whose
-                            # checkpoint captures ride the barrier hook.
-                            threads[checkpoint.step_slot].plan_checkpoints(
-                                0, -1, checkpoint.step_sink,
-                                start=checkpoint.step_start,
-                            )
 
                 caller_write_log = heap.write_log
                 caller_read_log = heap.read_log

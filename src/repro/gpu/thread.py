@@ -149,22 +149,12 @@ class ThreadContext:
         """
         checkpoint.restore(self)
 
-    def plan_checkpoints(
-        self, every: int, limit: int, sink, start: int | None = None
-    ) -> None:
+    def plan_checkpoints(self, every: int, limit: int, sink) -> None:
         """Capture ``sink(dyn, pc, regs)`` every ``every`` dynamic
         instructions, on the absolute dyn-index grid, up to ``limit``
         (inclusive) — the last dynamic index still untouched by a pending
         injection.  Captures happen at the loop head, before the
         instruction at ``dyn`` issues and before any register-file flip.
-
-        A sink that returns ``None`` keeps the grid cadence above.  A sink
-        may instead *return the next fire index* (an int; ``-1`` disarms),
-        taking over its own scheduling — the resync monitor rides this to
-        observe every instruction of a divergence window without the hot
-        loops gaining any new per-step conditionals.  ``start`` (when
-        given) overrides the first fire index — required when ``every`` is
-        0, i.e. a return-driven sink with no checkpoint grid at all.
 
         Cost attribution: the sink itself times each capture into
         ``CheckpointStore.capture_s`` — both hot loops (compiled and
@@ -174,9 +164,6 @@ class ThreadContext:
         self.cp_every = every
         self.cp_limit = limit
         self.cp_sink = sink
-        if start is not None:
-            self.cp_next = start
-            return
         nxt = (self.dyn_count // every + 1) * every
         self.cp_next = nxt if nxt <= limit else -1
 
@@ -225,13 +212,10 @@ class ThreadContext:
                             f"thread exceeded {max_steps} dynamic instructions"
                         )
                     if dyn == cp_next:
-                        r = cp_sink(dyn, pc, regs)
-                        if r is None:
-                            cp_next += cp_every
-                            if cp_next > cp_limit:
-                                cp_next = -1
-                        else:
-                            cp_next = r
+                        cp_sink(dyn, pc, regs)
+                        cp_next += cp_every
+                        if cp_next > cp_limit:
+                            cp_next = -1
                     if dyn == arm_at:
                         arm_at = -1
                         dyn += 1
@@ -259,13 +243,10 @@ class ThreadContext:
                             f"thread exceeded {max_steps} dynamic instructions"
                         )
                     if dyn == cp_next:
-                        r = cp_sink(dyn, pc, regs)
-                        if r is None:
-                            cp_next += cp_every
-                            if cp_next > cp_limit:
-                                cp_next = -1
-                        else:
-                            cp_next = r
+                        cp_sink(dyn, pc, regs)
+                        cp_next += cp_every
+                        if cp_next > cp_limit:
+                            cp_next = -1
                     if dyn == arm_at:
                         arm_at = -1
                         dyn += 1
@@ -444,13 +425,10 @@ class ThreadContext:
                     # Checkpoint capture: state here is golden — the
                     # instruction at ``dyn`` has not issued and any
                     # register-file flip below has not fired.
-                    r = cp_sink(dyn, pc, regs)
-                    if r is None:
-                        cp_next += cp_every
-                        if cp_next > cp_limit:
-                            cp_next = -1
-                    else:
-                        cp_next = r
+                    cp_sink(dyn, pc, regs)
+                    cp_next += cp_every
+                    if cp_next > cp_limit:
+                        cp_next = -1
                 (
                     op, dtype, dest_name, dest_is_pred, width,
                     srcs, guard, target, cmp, executor,

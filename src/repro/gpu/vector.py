@@ -2283,14 +2283,6 @@ def launch_vectorized(
                         rounds, cta_threads, _sink=checkpoint.sink, _shared=shared
                     ):
                         _sink(rounds, cta_threads, _shared)
-
-                if checkpoint.step_sink is not None and sc_ctx is not None:
-                    # Per-instruction observation of the demoted scalar lane
-                    # (the resync monitor); vector lanes stay untouched.
-                    sc_ctx.plan_checkpoints(
-                        0, -1, checkpoint.step_sink,
-                        start=checkpoint.step_start,
-                    )
             try:
                 barrier_rounds += runner.run(barrier_hook, rounds_start)
             finally:

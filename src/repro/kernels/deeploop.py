@@ -30,12 +30,11 @@ SEED = 0x0DEE
 def build_program(
     block_threads: int = BLOCK_THREADS,
     iters: int = ITERS,
-    sync_every: int | None = None,
 ) -> KernelBuilder:
     k = KernelBuilder("deeploop_kernel")
     x_ptr, out_ptr = k.params("x", "out")
     r = k.regs(
-        "gid", "ltid", "t", "ii", "oi", "addr", "saddr", "acc", "seed", "decay"
+        "gid", "ltid", "t", "ii", "addr", "saddr", "acc", "seed", "decay"
     )
 
     emit_global_tid_x(k, r.gid, r.t)
@@ -57,22 +56,9 @@ def build_program(
     k.ld("f32", r.seed, k.shared_ref(r.saddr, shared_base))
 
     # Deep uniform register loop: acc = acc * DECAY + seed, `iters` times.
-    # ``sync_every`` splits the loop into barrier-fenced rounds (the math
-    # is unchanged — every lane always reaches every barrier) so the
-    # barrier-granular checkpoint/resync machinery gets restore and
-    # splice points *inside* the deep phase instead of one barrier ahead
-    # of it.
     k.mov("f32", r.decay, float(DECAY))
-    if sync_every:
-        if iters % sync_every:
-            raise ValueError("iters must be a multiple of sync_every")
-        with k.loop("u32", r.oi, 0, iters // sync_every):
-            with k.loop("u32", r.ii, 0, sync_every):
-                k.mad_op("f32", r.acc, r.acc, r.decay, r.seed)
-            k.bar()
-    else:
-        with k.loop("u32", r.ii, 0, iters):
-            k.mad_op("f32", r.acc, r.acc, r.decay, r.seed)
+    with k.loop("u32", r.ii, 0, iters):
+        k.mad_op("f32", r.acc, r.acc, r.decay, r.seed)
 
     # out[gid] = acc
     k.shl("u32", r.addr, r.gid, 2)
@@ -98,11 +84,10 @@ def build(
     n_threads: int = N_THREADS,
     block_threads: int = BLOCK_THREADS,
     iters: int = ITERS,
-    sync_every: int | None = None,
 ) -> KernelInstance:
     if n_threads % block_threads:
         raise ValueError("n_threads must be a multiple of block_threads")
-    k = build_program(block_threads, iters, sync_every)
+    k = build_program(block_threads, iters)
     program = k.build()
     rng = np.random.default_rng(SEED)
     x = float_inputs(rng, n_threads)

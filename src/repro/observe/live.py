@@ -6,9 +6,9 @@ not.  This module is the live side:
 
 * workers (or the serial executor) push compact per-injection delta
   records through a :class:`LiveChannel` — outcome, duration, effective
-  and spliced instruction deltas, checkpoint/resync hit deltas — plus
-  periodic heartbeats, so the parent sees progress *as it happens*
-  instead of at chunk/exit merges;
+  instruction and checkpoint hit deltas — plus periodic heartbeats, so
+  the parent sees progress *as it happens* instead of at chunk/exit
+  merges;
 * a :class:`LiveAggregator` folds those records into rolling campaign
   state: outcome shares with Wilson CIs, a sequential convergence signal
   (max CI half-width vs an ``until_ci`` target), injections/sec and
@@ -104,18 +104,16 @@ class LiveChannel:
     them to ``push`` — a multiprocessing-queue put in pool workers,
     :meth:`LiveAggregator.record` directly on the serial path.  Keeps the
     flight-recorder ring of this process's recent records, per-injection
-    counter deltas (effective/spliced instructions, checkpoint/resync
-    hits) read from the process-local metrics registry, and the heartbeat
-    cadence.  Every push is wrapped: a broken queue degrades the live
-    view, never the campaign.
+    counter deltas (effective instructions, checkpoint hits) read from
+    the process-local metrics registry, and the heartbeat cadence.
+    Every push is wrapped: a broken queue degrades the live view, never
+    the campaign.
     """
 
     _COUNTER_NAMES = (
         "work.effective_instructions",
-        "work.spliced_instructions",
         "checkpoint.thread_hits",
         "checkpoint.cta_hits",
-        "resync.hits",
     )
 
     def __init__(
@@ -137,11 +135,11 @@ class LiveChannel:
 
     def _counter_values(self) -> tuple:
         if self.metrics is None:
-            return (0, 0, 0, 0, 0)
+            return (0, 0, 0)
         value = self.metrics.counter_value
         return tuple(value(name) for name in self._COUNTER_NAMES)
 
-    def resync_counters(self) -> None:
+    def reanchor_counters(self) -> None:
         """Re-anchor the delta baseline after a registry reset (workers
         reset their metrics after shipping each chunk snapshot)."""
         self._last_values = self._counter_values()
@@ -167,8 +165,8 @@ class LiveChannel:
         values = self._counter_values()
         last = self._last_values
         self._last_values = values
-        effective, spliced, thread_hits, cta_hits, resync_hits = (
-            values[i] - last[i] for i in range(5)
+        effective, thread_hits, cta_hits = (
+            values[i] - last[i] for i in range(3)
         )
         self.done += 1
         record = {
@@ -180,9 +178,7 @@ class LiveChannel:
             "dyn_index": site.dyn_index,
             "duration_s": duration_s,
             "effective_instructions": int(effective),
-            "spliced_instructions": int(spliced),
             "checkpoint_hits": int(thread_hits + cta_hits),
-            "resync_hits": int(resync_hits),
         }
         self.ring.append(record)
         self._push(record)
@@ -247,9 +243,7 @@ class LiveAggregator:
         self.outcome_counts: dict[str, int] = {}
         self.duration_total_s = 0.0
         self.effective_instructions = 0
-        self.spliced_instructions = 0
         self.checkpoint_hits = 0
-        self.resync_hits = 0
         self.started_at: float | None = None
         self._started_mono: float | None = None
         self.converged = False
@@ -257,7 +251,7 @@ class LiveAggregator:
         #: (monotonic, done, effective) samples for rolling rates.
         self._window: deque[tuple[float, int, int]] = deque()
         #: worker name -> {"done", "last_seen" (monotonic), "busy_s",
-        #: "splices", "crashed"}
+        #: "crashed"}
         self.workers: dict[str, dict] = {}
         #: Parent-side ring of recent records (all workers interleaved).
         self.ring: deque = deque(maxlen=max(ring_size, 1))
@@ -328,7 +322,6 @@ class LiveAggregator:
                 "done": 0,
                 "last_seen": self._monotonic(),
                 "busy_s": 0.0,
-                "splices": 0,
                 "crashed": False,
             }
         return state
@@ -348,15 +341,11 @@ class LiveAggregator:
             self.effective_instructions += int(
                 record.get("effective_instructions", 0)
             )
-            self.spliced_instructions += int(record.get("spliced_instructions", 0))
             self.checkpoint_hits += int(record.get("checkpoint_hits", 0))
-            self.resync_hits += int(record.get("resync_hits", 0))
             worker = self._worker_state(record.get("worker") or "serial")
             worker["done"] += 1
             worker["last_seen"] = now
             worker["busy_s"] += duration
-            if record.get("spliced_instructions"):
-                worker["splices"] += 1
             self._window.append((now, self.done, self.effective_instructions))
             while (
                 len(self._window) > 2
@@ -504,7 +493,6 @@ class LiveAggregator:
                     "worker": name,
                     "done": state["done"],
                     "busy_s": state["busy_s"],
-                    "splices": state["splices"],
                     "last_seen_s": idle,
                     "crashed": state["crashed"],
                     "stalled": (
@@ -536,9 +524,7 @@ class LiveAggregator:
                     "injections_per_s": rate,
                     "effective_instructions_per_s": self.rolling_effective_rate,
                     "effective_instructions": self.effective_instructions,
-                    "spliced_instructions": self.spliced_instructions,
                     "checkpoint_hits": self.checkpoint_hits,
-                    "resync_hits": self.resync_hits,
                 },
                 "workers": worker_rows,
                 "tertiles": self._tertile_rows(),
@@ -584,9 +570,6 @@ def render_live(snapshot: dict, width: int = 78) -> str:
     effective_rate = throughput.get("effective_instructions_per_s") or 0.0
     if effective_rate:
         line += f"  {effective_rate / 1e6:.2f} Minsn/s effective"
-    spliced = throughput.get("spliced_instructions") or 0
-    if spliced:
-        line += f"  spliced {spliced:,}"
     lines.append(line)
 
     convergence = snapshot.get("convergence") or {}
@@ -630,13 +613,10 @@ def render_live(snapshot: dict, width: int = 78) -> str:
                 liveness = f"STALLED ({row['last_seen_s']:.0f}s silent)"
             else:
                 liveness = f"alive ({row['last_seen_s']:.1f}s ago)"
-            line = (
+            lines.append(
                 f"  {row['worker']:<18s} done={row['done']:<8,d}"
-                f" busy={row['busy_s']:.1f}s"
+                f" busy={row['busy_s']:.1f}s  {liveness}"
             )
-            if row.get("splices"):
-                line += f" splices={row['splices']}"
-            lines.append(f"{line}  {liveness}")
 
     tertiles = snapshot.get("tertiles") or ()
     if tertiles:

@@ -49,7 +49,6 @@ def render_text(report: dict) -> str:
         lines.append(
             f"  effective instructions covered:"
             f" {meta['effective_instructions']:,}"
-            f" (spliced {meta.get('spliced_instructions', 0):,})"
         )
 
     lines.append("")
@@ -111,26 +110,6 @@ def render_text(report: dict) -> str:
             f" capture {checkpoint['capture_s']:.3f}s)"
         )
 
-    resync = report.get("resync")
-    if resync:
-        lines.append("")
-        lines.append(
-            f"resync: splice-rate={_pct(resync['splice_rate'])}"
-            f" ({resync['hits']}/{resync['hits'] + resync['misses']})"
-            f"  memo hit-rate={_pct(resync['memo_hit_rate'])}"
-            f" ({resync['memo_hits']}/{resync['memo_hits'] + resync['memo_misses']})"
-        )
-        lines.append(
-            f"  spliced {resync['spliced_instructions']:,.0f} /"
-            f" skipped {resync['skipped_instructions']:,.0f} golden"
-            f" instructions; scanned"
-            f" {resync['window_instructions']:,.0f} in-window"
-            f" (memo {resync['memo_entries']:.0f} entries,"
-            f" {resync['memo_evicted']:.0f} evicted;"
-            f" capture {resync['capture_s']:.3f}s"
-            f" / {resync['captures']:.0f} streams)"
-        )
-
     compiled = report["compiled"]
     if compiled:
         lines.append("")
@@ -151,8 +130,6 @@ def render_text(report: dict) -> str:
                 f"  {row['worker']:<18s} injections={row['injections']:<7d}"
                 f" busy={row['busy_s']:.3f}s"
             )
-            if row.get("splices"):
-                line += f" splices={_pct(row['splice_rate'])}"
             if row.get("queue_wait_mean_s") is not None:
                 line += f" wait={_ms(row['queue_wait_mean_s'])}"
             if row.get("checkpoint_bytes") is not None:
@@ -160,8 +137,6 @@ def render_text(report: dict) -> str:
                     f" ckpt={row['checkpoint_bytes'] / 1e6:.1f}MB"
                     f"/{row.get('checkpoint_entries', 0):.0f}"
                 )
-            if row.get("resync_memo_entries") is not None:
-                line += f" memo={row['resync_memo_entries']:.0f}"
             lines.append(line)
         wait = workers["queue_wait"]
         if wait and wait.get("count"):
@@ -333,17 +308,6 @@ def render_markdown(report: dict) -> str:
             f"{checkpoint['store_bytes'] / (1 << 20):.1f} MiB."
         )
 
-    resync = report.get("resync")
-    if resync:
-        out += ["", "## Resync", ""]
-        out.append(
-            f"Splice rate {_pct(resync['splice_rate'])} "
-            f"({resync['hits']} splices / {resync['misses']} misses), "
-            f"memo hit rate {_pct(resync['memo_hit_rate'])}, "
-            f"spliced {resync['spliced_instructions']:,.0f} and skipped "
-            f"{resync['skipped_instructions']:,.0f} golden instructions."
-        )
-
     compiled = report["compiled"]
     if compiled:
         out += ["", "## Compiled backend", ""]
@@ -359,20 +323,16 @@ def render_markdown(report: dict) -> str:
             title += f", queue-wait skew {workers['queue_wait_skew']:.2f}x"
         out += [
             "", title + ")", "",
-            "| worker | injections | busy | splice rate | queue wait |"
-            " ckpt store | resync memo |",
-            "|---|---|---|---|---|---|---|",
+            "| worker | injections | busy | queue wait | ckpt store |",
+            "|---|---|---|---|---|",
         ]
         for row in workers["rows"]:
             wait = row.get("queue_wait_mean_s")
             ckpt = row.get("checkpoint_bytes")
-            memo = row.get("resync_memo_entries")
             out.append(
                 f"| {row['worker']} | {row['injections']} | {row['busy_s']:.3f}s"
-                f" | {_pct(row.get('splice_rate', 0.0))}"
                 f" | {_ms(wait) if wait is not None else '—'}"
-                f" | {f'{ckpt / 1e6:.1f}MB' if ckpt is not None else '—'}"
-                f" | {f'{memo:.0f}' if memo is not None else '—'} |"
+                f" | {f'{ckpt / 1e6:.1f}MB' if ckpt is not None else '—'} |"
             )
 
     stragglers = report["stragglers"]

@@ -9,8 +9,6 @@ tests consume the same structure.  Sections:
 * ``phases``      — where injection milliseconds go, by pipeline phase;
 * ``tertiles``    — latency and phase mix by fault-site depth tertile;
 * ``checkpoint``  — snapshot-store hit/miss/skip economics;
-* ``resync``      — golden-resync splice rate, memo economics and the
-  instructions reconstructed instead of executed;
 * ``compiled``    — closure-chain bind-cache efficiency;
 * ``workers``     — per-worker utilisation and load imbalance;
 * ``stragglers``  — sites slower than the p99, with their phase splits;
@@ -163,33 +161,6 @@ def _checkpoint_section(log: CampaignLog, counters, gauges) -> dict | None:
     }
 
 
-def _resync_section(log: CampaignLog, counters, gauges) -> dict | None:
-    hits = counters.get("resync.hits", 0)
-    misses = counters.get("resync.misses", 0)
-    spliced = sum(e.spliced_instructions for e in log.injections)
-    if hits + misses == 0 and spliced == 0:
-        return None
-    attempts = hits + misses
-    memo_hits = counters.get("resync.memo_hits", 0)
-    memo_misses = counters.get("resync.memo_misses", 0)
-    memo_lookups = memo_hits + memo_misses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "splice_rate": hits / attempts if attempts else 0.0,
-        "memo_hits": memo_hits,
-        "memo_misses": memo_misses,
-        "memo_hit_rate": memo_hits / memo_lookups if memo_lookups else 0.0,
-        "skipped_instructions": counters.get("resync.skipped_instructions", 0),
-        "window_instructions": counters.get("resync.window_instructions", 0),
-        "spliced_instructions": spliced,
-        "memo_entries": gauges.get("resync.memo_entries", 0.0),
-        "memo_evicted": gauges.get("resync.memo_evicted", 0.0),
-        "capture_s": gauges.get("resync.capture_s", 0.0),
-        "captures": gauges.get("resync.captures", 0.0),
-    }
-
-
 def _compiled_section(log: CampaignLog, counters) -> dict | None:
     hits = counters.get("compiled.chain_hits", 0)
     misses = counters.get("compiled.chain_misses", 0)
@@ -227,14 +198,11 @@ def _worker_section(log: CampaignLog, counters, gauges, histograms) -> dict | No
     for worker in workers:
         events = by_worker.get(worker, [])
         durations = [e.duration_s for e in events]
-        splices = sum(1 for e in events if e.spliced_instructions)
         row = {
             "worker": worker,
             "injections": len(events),
             "injection_s": sum(durations),
             "busy_s": busy.get(worker, sum(durations)),
-            "splices": splices,
-            "splice_rate": splices / len(events) if events else 0.0,
         }
         # Per-worker resource levels from the scoped ``name[worker]``
         # gauges and histograms the merge keeps for each contributor.
@@ -243,12 +211,6 @@ def _worker_section(log: CampaignLog, counters, gauges, histograms) -> dict | No
             row["checkpoint_bytes"] = checkpoint_bytes
             row["checkpoint_entries"] = (
                 _scoped_gauge(gauges, "checkpoint.entries", worker) or 0.0
-            )
-        memo_entries = _scoped_gauge(gauges, "resync.memo_entries", worker)
-        if memo_entries is not None:
-            row["resync_memo_entries"] = memo_entries
-            row["resync_capture_s"] = (
-                _scoped_gauge(gauges, "resync.capture_s", worker) or 0.0
             )
         wait = histograms.get(f"parallel.queue_wait_s[{worker}]")
         if wait and wait.get("count"):
@@ -348,13 +310,10 @@ def build_report(
             "backends": backends,
             "fast_path_rate": fast / n if n else 0.0,
             "suffix_instructions": sum(e.suffix_instructions for e in injections),
-            # Effective dynamic coverage: executed + checkpoint-skipped +
-            # resync-spliced instructions the campaign accounted for.
+            # Effective dynamic coverage: executed + checkpoint-skipped
+            # instructions the campaign accounted for.
             "effective_instructions": sum(
                 e.effective_instructions for e in injections
-            ),
-            "spliced_instructions": sum(
-                e.spliced_instructions for e in injections
             ),
             "wall_span_s": (max(timestamps) - min(timestamps)) if timestamps else 0.0,
             "confidence": confidence,
@@ -366,7 +325,6 @@ def build_report(
         "phases": _phase_section(injections),
         "tertiles": _tertile_section(injections),
         "checkpoint": _checkpoint_section(log, counters, gauges),
-        "resync": _resync_section(log, counters, gauges),
         "compiled": _compiled_section(log, counters),
         "workers": _worker_section(log, counters, gauges, histograms),
         "stragglers": _straggler_section(log),

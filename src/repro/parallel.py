@@ -27,8 +27,8 @@ in-process path — same results, no pool.
 Live streaming: when the campaign runs with a
 :class:`~repro.observe.live.LiveAggregator`, each worker additionally
 pushes compact per-injection delta records (outcome, duration,
-effective/spliced instructions, checkpoint/resync hits) plus periodic
-heartbeats over a multiprocessing queue as injections complete — the
+effective instructions, checkpoint hits) plus periodic heartbeats over
+a multiprocessing queue as injections complete — the
 parent's drain thread folds them into rolling state *while* chunks are
 still in flight.  The stream is advisory and rides outside the in-order
 outcome path, so live-on campaigns stay byte-identical to live-off.
@@ -44,7 +44,6 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .faults.resync import DEFAULT_RESYNC_WINDOW
 from .telemetry import NULL_TELEMETRY, MemorySink, NullSink, Telemetry, event_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> parallel)
@@ -222,10 +221,6 @@ def _build_payload(injector: "FaultInjector") -> dict | None:
         # Provenance tracing travels with the campaign: records stream
         # back inside each worker's InjectionEvents (snapshot absorb).
         "propagation": injector.propagation,
-        # Resync travels too: each worker keeps its own divergence-window
-        # memo (keys are deterministic, so verdicts agree across workers).
-        "resync": injector.resync,
-        "resync_window": injector.resync_window,
     }
     try:
         # Golden handoff: workers rebuild the final heap from these logs
@@ -270,9 +265,9 @@ def _init_worker(payload: dict, live_queue=None) -> None:
     if payload["instrumented"]:
         telemetry = Telemetry(sink=MemorySink())
     elif payload.get("live"):
-        # Enabled-but-discarding: per-injection counters (effective /
-        # spliced instructions, checkpoint/resync hits) accumulate for
-        # the live channel's delta reads, events are never built up.
+        # Enabled-but-discarding: per-injection counters (effective
+        # instructions, checkpoint hits) accumulate for the live
+        # channel's delta reads, events are never built up.
         telemetry = Telemetry(sink=NullSink())
     else:
         telemetry = NULL_TELEMETRY
@@ -283,13 +278,11 @@ def _init_worker(payload: dict, live_queue=None) -> None:
         verify_golden=False,  # the parent already verified this instance
         telemetry=telemetry,
         thread_slicing=payload["thread_slicing"],
-        checkpoint_interval=payload.get("checkpoint_interval", 0),
-        checkpoint_budget_mb=payload.get("checkpoint_budget_mb", 64.0),
-        backend=payload.get("backend", "interpreter"),
+        checkpoint_interval=payload["checkpoint_interval"],
+        checkpoint_budget_mb=payload["checkpoint_budget_mb"],
+        backend=payload["backend"],
         golden=golden,
-        propagation=payload.get("propagation", False),
-        resync=payload.get("resync", False),
-        resync_window=payload.get("resync_window", DEFAULT_RESYNC_WINDOW),
+        propagation=payload["propagation"],
     )
     _WORKER_TELEMETRY = telemetry
     _WORKER_SHIP_SNAPSHOTS = bool(payload["instrumented"])
@@ -304,7 +297,7 @@ def _init_worker(payload: dict, live_queue=None) -> None:
         )
         # Injector construction may have bumped counters (golden rebuild);
         # re-anchor so the first injection's delta is its own.
-        channel.resync_counters()
+        channel.reanchor_counters()
         channel.online()
         _WORKER_LIVE = channel
     else:
@@ -359,7 +352,7 @@ def _run_chunk(
             telemetry.metrics.__init__()
             telemetry.spans.__init__()
             if live is not None:
-                live.resync_counters()
+                live.reanchor_counters()
     return outcomes, fallback_delta, snapshot
 
 

@@ -32,10 +32,6 @@ SUMMED_GAUGES = frozenset({
     "checkpoint.entries",
     "checkpoint.evicted",
     "checkpoint.capture_s",
-    "resync.memo_entries",
-    "resync.memo_evicted",
-    "resync.capture_s",
-    "resync.captures",
 })
 
 #: Histograms whose per-worker shape matters for diagnosing pool health.

@@ -14,14 +14,14 @@ rate (computed over the recent window, not since campaign start) and
 ETA — the log-friendly mode for long unattended campaigns.  ``close()``
 always flushes a final heartbeat so short campaigns aren't silent.
 
-Injections are not uniform work units: checkpoint skipping and resync
-splicing make per-injection cost drift over a campaign (deep sites cost
-more until resync kicks in), so an ETA from the injection *count* rate is
-systematically wrong on deep kernels.  Drivers that know the cumulative
-**effective-instruction** total can feed it via :meth:`note_work`; the
-ETA then projects remaining work in instructions and divides by the
-rolling instruction rate, falling back to the count-based estimate when
-no work units were reported.
+Injections are not uniform work units: fault depth and checkpoint
+skipping make per-injection cost drift over a campaign (deep sites cost
+more), so an ETA from the injection *count* rate is systematically wrong
+on deep kernels.  Drivers that know the cumulative **effective-
+instruction** total can feed it via :meth:`note_work`; the ETA then
+projects remaining work in instructions and divides by the rolling
+instruction rate, falling back to the count-based estimate when no work
+units were reported.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ class ProgressReporter:
         fed: remaining work is estimated by scaling the observed
         work-per-injection to the remaining injection count, then divided
         by the rolling work rate — so a campaign whose later injections
-        are cheaper (resync splicing) or dearer (deep prefixes) projects
+        are cheaper (warm checkpoints) or dearer (deep prefixes) projects
         from cost actually remaining, not injection count.
         """
         if self.total is None:

@@ -18,7 +18,7 @@ from repro import FaultInjector, load_instance, random_campaign
 from repro.gpu import GPUSimulator
 from repro.gpu.checkpoint import CheckpointPlan, CheckpointStore, ThreadCheckpoint
 from repro.parallel import ParallelCampaignRunner, SerialExecutor
-from repro.telemetry import MemorySink, Telemetry
+from repro.telemetry import InjectionEvent, MemorySink, Telemetry
 
 from ..helpers import build_loop_sum_instance
 
@@ -141,6 +141,25 @@ class TestExtendedModels:
             assert base.inject_spec(site.thread, spec) == ck.inject_spec(
                 site.thread, spec
             )
+
+
+class TestEffectiveAccounting:
+    def test_checkpoint_only_events_report_skips(self):
+        # CTA-path kernel: barrier-boundary snapshots are shared by every
+        # thread of the CTA, so a random campaign actually hits the store.
+        sink = MemorySink()
+        injector = FaultInjector(
+            load_instance("pathfinder.k1"),
+            telemetry=Telemetry(sink=sink),
+            checkpoint_interval=16,
+        )
+        random_campaign(injector, 24, rng=SEED)
+        events = sink.of_type(InjectionEvent)
+        assert events
+        assert all(e.spliced_instructions == 0 for e in events)
+        assert any(
+            e.effective_instructions > e.suffix_instructions for e in events
+        )
 
 
 def test_rf_sampling_draw_order_unchanged():

@@ -117,22 +117,22 @@ class TestLiveChannel:
 
         channel.note(site, Outcome(), duration_s=0.5)
         telemetry.count("work.effective_instructions", 30)
-        telemetry.count("work.spliced_instructions", 7)
+        telemetry.count("checkpoint.thread_hits", 7)
         channel.note(site, Outcome(), duration_s=0.25)
 
         injections = [r for r in pushed if r["kind"] == "injection"]
         assert [r["effective_instructions"] for r in injections] == [120, 30]
-        assert [r["spliced_instructions"] for r in injections] == [0, 7]
+        assert [r["checkpoint_hits"] for r in injections] == [0, 7]
         assert injections[0]["thread"] == 3
         assert injections[0]["dyn_index"] == 9
 
-    def test_resync_counters_reanchors_after_registry_reset(self):
+    def test_reanchor_counters_after_registry_reset(self):
         telemetry = Telemetry(sink=MemorySink())
         pushed: list[dict] = []
         channel = LiveChannel(pushed.append, "w1", metrics=telemetry.metrics)
         telemetry.count("work.effective_instructions", 50)
         telemetry.metrics.__init__()  # the worker chunk-reset idiom
-        channel.resync_counters()
+        channel.reanchor_counters()
         telemetry.count("work.effective_instructions", 10)
         site = FaultSite(thread=0, dyn_index=0, bit=0)
 

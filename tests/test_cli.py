@@ -79,10 +79,9 @@ def test_profile_with_full_instrumentation(tmp_path, capsys):
     assert manifest.events_path == str(events_path)
     assert manifest.config == {
         "loop_iters": 2, "bits": 4, "seed": 2018, "workers": 1,
-        "checkpoint_interval": "auto", "checkpoint_budget_mb": 64.0,
+        "checkpoint_interval": "auto",
         # The flag defaults to "auto"; the manifest records what ran.
-        "backend": "compiled", "propagation": False,
-        "resync": False, "resync_window": 128, "audit_groups": 0,
+        "backend": "compiled", "propagation": False, "audit_groups": 0,
     }
     # The recorded profile matches the percentages printed to stdout.
     pct = manifest.profile["percentages"]
