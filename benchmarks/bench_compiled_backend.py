@@ -1,8 +1,8 @@
-"""Engineering bench — compiled closure-chain backend vs the interpreter.
+"""Engineering bench — compiled basic-block backend vs the interpreter.
 
 The compiled backend (``repro.gpu.compiler``, see ``docs/performance.md``)
-specialises each static instruction into a pre-bound closure at launch
-time, eliminating per-dynamic-instruction decode and operand dispatch.
+generates one function per basic block of each program, eliminating
+per-dynamic-instruction decode and operand dispatch.
 Injections stay exact through an arming layer: only the single dynamic
 instruction carrying the flip runs through the interpreter's slow path.
 

@@ -22,7 +22,7 @@ identical results, only faster deep injections.
 
 ``REPRO_BENCH_BACKEND={interpreter,compiled,vectorized,auto}`` selects
 the execution backend every harness-built injector uses (identical
-outcomes; the compiled closure-chain backend is faster per thread, the
+outcomes; the compiled basic-block backend is faster per thread, the
 vectorized lane-parallel backend is faster still on wide CTAs — see
 ``bench_compiled_backend.py`` and ``bench_vectorized_backend.py``).  It
 defaults to ``interpreter``, not the library's ``auto``: the rung

@@ -116,7 +116,7 @@ def _add_instrumentation_args(sub: argparse.ArgumentParser) -> None:
         default="auto",
         help="execution backend: 'auto' (default) picks vectorized for CTAs "
         f"of {VECTORIZED_MIN_LANES}+ threads and compiled for narrower ones; "
-        "or force the reference interpreter, the compiled closure-chain "
+        "or force the reference interpreter, the compiled basic-block "
         "backend or the vectorized lane-parallel backend (outcomes are "
         "identical on all of them; manifests record the backend that ran)",
     )

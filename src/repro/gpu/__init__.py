@@ -15,7 +15,7 @@ from .checkpoint import (
     ThreadCheckpoint,
     derive_checkpoint_interval,
 )
-from .compiler import BoundChain, CompiledProgram, compile_program
+from .compiler import CompiledProgram, compile_program
 from .instruction import Guard, Instruction
 from .isa import DataType, Imm, MemRef, Param, Reg, Special
 from .memory import GLOBAL_BASE, GlobalMemory, ParamMemory, SharedMemory
@@ -35,7 +35,6 @@ from .vector import CompactTrace, VectorFallback, VectorProgram
 
 __all__ = [
     "BACKENDS",
-    "BoundChain",
     "CTACheckpoint",
     "CheckpointPlan",
     "CheckpointStore",

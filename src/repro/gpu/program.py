@@ -80,11 +80,13 @@ class Program:
         return cached
 
     def compiled(self, param_mem):
-        """The program specialised into closure chains for one param block.
+        """The program specialised into basic-block functions for one
+        param block.
 
         Compilation folds parameter loads into constants, so the cache is
         keyed by the parameter image; each distinct parameter block gets
-        its own :class:`~repro.gpu.compiler.CompiledProgram`.  Like
+        its own :class:`~repro.gpu.compiler.CompiledProgram`, whose blocks
+        compile lazily on first entry.  Like
         :meth:`decoded`, results are cached on the (frozen) program via
         ``object.__setattr__``.
         """

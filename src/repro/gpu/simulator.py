@@ -36,7 +36,8 @@ DEFAULT_MAX_STEPS = 1_000_000
 
 #: Execution backends: ``interpreter`` is the decoded-tuple loop in
 #: :mod:`~repro.gpu.thread`; ``compiled`` specialises programs into
-#: closure chains (:mod:`~repro.gpu.compiler`) with identical semantics;
+#: generated basic-block functions (:mod:`~repro.gpu.compiler`) with
+#: identical semantics;
 #: ``vectorized`` executes lane-masked SIMD over a numpy register file
 #: (:mod:`~repro.gpu.vector`), falling back to the compiled path whenever
 #: lockstep execution cannot prove classic-identical results.
@@ -49,7 +50,7 @@ BACKENDS = ("interpreter", "compiled", "vectorized")
 #: selection").
 VECTORIZED_MIN_LANES = 128
 
-#: Cache-size bound for pooled contexts / bound chains / specials dicts;
+#: Cache-size bound for pooled contexts / specials dicts / scratchpads;
 #: cleared wholesale on overflow (campaigns touch far fewer keys).
 _POOL_LIMIT = 4096
 
@@ -150,10 +151,9 @@ class GPUSimulator:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.backend = backend
         # Per-(program, params, geometry, cta, slot) reuse caches for the
-        # sliced fast paths: bound closure chains, read-only specials
-        # dicts, pooled ThreadContexts and shared scratchpads.  Values pin
-        # the program object so an id() collision can never alias.
-        self._bind_cache: dict = {}
+        # sliced fast paths: read-only specials dicts, pooled
+        # ThreadContexts and shared scratchpads.  Values pin the program
+        # object so an id() collision can never alias.
         self._specials_cache: dict = {}
         self._context_pool: dict = {}
         self._shared_pool: dict = {}
@@ -170,20 +170,6 @@ class GPUSimulator:
             specials = geometry.specials_for(cta, slot)
             self._specials_cache[key] = specials
         return specials
-
-    def _cached_chain(self, program, compiled_program, key, specials):
-        entry = self._bind_cache.get(key)
-        if entry is not None and entry[0] is program:
-            if self.telemetry.enabled:
-                self.telemetry.count("compiled.chain_hits")
-            return entry[1]
-        chain = compiled_program.bind(specials)
-        if len(self._bind_cache) >= _POOL_LIMIT:
-            self._bind_cache.clear()
-        self._bind_cache[key] = (program, chain)
-        if self.telemetry.enabled:
-            self.telemetry.count("compiled.chain_misses")
-        return chain
 
     def _pooled_shared(self, program, cta: int):
         key = (id(program), cta)
@@ -369,8 +355,9 @@ class GPUSimulator:
         hang = memory_fault = False
 
         # Sliced runs (the per-injection hot path) reuse pooled contexts,
-        # shared scratchpads, specials dicts and bound closure chains;
-        # full-grid runs (golden capture) build everything fresh.
+        # shared scratchpads and specials dicts; full-grid runs (golden
+        # capture) build them fresh.  Every thread shares the program's
+        # compiled blocks.
         use_pool = only_cta is not None or only_thread is not None
         param_key = param_mem.raw
         try:
@@ -391,13 +378,6 @@ class GPUSimulator:
                     if use_pool:
                         key = (id(program), param_key, geometry, cta, slot)
                         specials = self._cached_specials(geometry, cta, slot)
-                        chain = (
-                            self._cached_chain(
-                                program, compiled_program, key, specials
-                            )
-                            if compiled_program is not None
-                            else None
-                        )
                         entry = self._context_pool.get(key)
                         if entry is not None and entry[0] is program:
                             ctx = entry[1]
@@ -409,17 +389,12 @@ class GPUSimulator:
                                 max_steps=max_steps,
                                 record_trace=record_traces,
                                 injection=thread_injection,
-                                compiled=chain,
+                                compiled=compiled_program,
                             )
                             threads.append(ctx)
                             continue
                     else:
                         specials = geometry.specials_for(cta, slot)
-                        chain = (
-                            compiled_program.bind(specials)
-                            if compiled_program is not None
-                            else None
-                        )
                     ctx = ThreadContext(
                         program,
                         specials,
@@ -429,7 +404,7 @@ class GPUSimulator:
                         max_steps=max_steps,
                         record_trace=record_traces,
                         injection=thread_injection,
-                        compiled=chain,
+                        compiled=compiled_program,
                     )
                     if use_pool:
                         if len(self._context_pool) >= _POOL_LIMIT:

@@ -177,19 +177,29 @@ class ThreadContext:
             self._run_interpreted()
 
     def _run_compiled(self) -> None:
-        """Drive a :class:`~repro.gpu.compiler.BoundChain` closure chain.
+        """Drive a :class:`~repro.gpu.compiler.CompiledProgram`.
 
-        Each iteration is one indexed closure call; hang, checkpoint and
-        injection-arming checks stay in the driver so closures carry no
-        per-step conditionals.  The single dynamic instruction holding a
-        pending fault runs through :meth:`_armed_step` (interpreter
-        semantics) so outcomes, traces and write logs stay byte-identical
-        to :meth:`_run_interpreted`.
+        Each iteration runs a whole basic block when the thread stands on
+        a leader and the block ends at or before every pending boundary —
+        the hang budget, the next checkpoint capture and the armed
+        injection — and otherwise one instruction; so every boundary is
+        observed on the same dynamic index as in :meth:`_run_interpreted`,
+        and entering a block mid-way (a checkpoint resume, the armed step)
+        single-steps to the next leader.  Traced runs single-step
+        throughout.  The single dynamic instruction holding a pending
+        fault runs through :meth:`_armed_step` (interpreter semantics) so
+        outcomes, traces and write logs stay byte-identical.
         """
-        bound = self.compiled
-        end = bound.end
+        prog = self.compiled
+        end = prog.end
+        blocks = prog.blocks
+        if self.trace is None:
+            sizes = prog.sizes
+            steps = prog.steps
+        else:
+            sizes = prog.step_only
+            steps = prog.traced_steps
         regs = self.regs.values
-        trace = self.trace
         max_steps = self.max_steps
         injection = self.injection
         arm_at = -1 if injection is None else injection.dyn_index
@@ -200,69 +210,50 @@ class ThreadContext:
         cp_sink = self.cp_sink
         cp_every = self.cp_every
         cp_limit = self.cp_limit
+        bound = _next_boundary(max_steps, cp_next, arm_at)
         try:
-            if trace is None:
-                chain = bound.plain
-                while True:
-                    if pc >= end:
-                        self.state = ThreadState.EXITED
-                        return
-                    if dyn >= max_steps:
-                        raise HangDetected(
-                            f"thread exceeded {max_steps} dynamic instructions"
-                        )
-                    if dyn == cp_next:
-                        cp_sink(dyn, pc, regs)
-                        cp_next += cp_every
-                        if cp_next > cp_limit:
-                            cp_next = -1
-                    if dyn == arm_at:
-                        arm_at = -1
-                        dyn += 1
-                        pc, fired, blocked = self._armed_step(pc)
-                        if fired:
-                            consumed = True
-                        if blocked:
-                            return
-                        continue
+            while True:
+                if pc >= end:
+                    self.state = ThreadState.EXITED
+                    return
+                if dyn >= max_steps:
+                    raise HangDetected(
+                        f"thread exceeded {max_steps} dynamic instructions"
+                    )
+                if dyn == cp_next:
+                    cp_sink(dyn, pc, regs)
+                    cp_next += cp_every
+                    if cp_next > cp_limit:
+                        cp_next = -1
+                    bound = _next_boundary(max_steps, cp_next, arm_at)
+                if dyn == arm_at:
+                    arm_at = -1
+                    bound = _next_boundary(max_steps, cp_next, arm_at)
                     dyn += 1
-                    r = chain[pc](regs, self)
-                    if r >= 0:
-                        pc = r
-                    else:
-                        pc = -1 - r
+                    pc, fired, blocked = self._armed_step(pc)
+                    if fired:
+                        consumed = True
+                    if blocked:
                         return
-            else:
-                chain = bound.traced
-                while True:
-                    if pc >= end:
-                        self.state = ThreadState.EXITED
-                        return
-                    if dyn >= max_steps:
-                        raise HangDetected(
-                            f"thread exceeded {max_steps} dynamic instructions"
-                        )
-                    if dyn == cp_next:
-                        cp_sink(dyn, pc, regs)
-                        cp_next += cp_every
-                        if cp_next > cp_limit:
-                            cp_next = -1
-                    if dyn == arm_at:
-                        arm_at = -1
-                        dyn += 1
-                        pc, fired, blocked = self._armed_step(pc)
-                        if fired:
-                            consumed = True
-                        if blocked:
-                            return
-                        continue
+                    continue
+                n = sizes[pc]
+                if n and dyn + n <= bound:
+                    dyn += n
+                    try:
+                        r = blocks[pc](regs, self)
+                    except BaseException as exc:
+                        k = prog.fault_offset(pc, exc)
+                        pc += k
+                        dyn += k + 1 - n
+                        raise
+                else:
                     dyn += 1
-                    r = chain[pc](regs, self, trace)
-                    if r >= 0:
-                        pc = r
-                    else:
-                        pc = -1 - r
-                        return
+                    r = steps[pc](regs, self)
+                if r >= 0:
+                    pc = r
+                else:
+                    pc = -1 - r
+                    return
         finally:
             self.pc = pc
             self.dyn_count = dyn
@@ -594,6 +585,16 @@ class ThreadContext:
     def _flip_dest(self, regs, dest_name, dest_is_pred, dtype, bit: int) -> None:
         flip_type = DataType.PRED if dest_is_pred else dtype
         regs[dest_name] = flip_bit(regs[dest_name], flip_type, bit)
+
+
+def _next_boundary(max_steps: int, cp_next: int, arm_at: int) -> int:
+    """The lowest pending dynamic index no block may run past."""
+    bound = max_steps
+    if 0 <= cp_next < bound:
+        bound = cp_next
+    if 0 <= arm_at < bound:
+        bound = arm_at
+    return bound
 
 
 def _flip_register_value(value, bit: int):

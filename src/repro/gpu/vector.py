@@ -1,7 +1,7 @@
 """Vectorised warp execution: lane-masked SIMD over an array register file.
 
-The third execution backend (``backend="vectorized"``).  Instead of one
-Python closure call per thread per dynamic instruction, every CTA holds a
+The third execution backend (``backend="vectorized"``).  Instead of
+Python-level work per thread per dynamic instruction, every CTA holds a
 ``(registers, lanes)`` numpy register file and each *static* instruction
 executes once across all active lanes with boolean masks for guards and
 divergence.  Exactness contract with the interpreter:
@@ -2233,22 +2233,19 @@ def launch_vectorized(
                 if use_pool:
                     key = (id(program), param_key, geometry, cta, sc_slot)
                     specials = sim._cached_specials(geometry, cta, sc_slot)
-                    chain = sim._cached_chain(
-                        program, compiled_program, key, specials
-                    )
                     entry = sim._context_pool.get(key)
                     if entry is not None and entry[0] is program:
                         sc_ctx = entry[1]
                         sc_ctx.reset(
                             specials, heap, shared, param_mem,
                             max_steps=max_steps, record_trace=record_traces,
-                            injection=injection_spec, compiled=chain,
+                            injection=injection_spec, compiled=compiled_program,
                         )
                     else:
                         sc_ctx = ThreadContext(
                             program, specials, heap, shared, param_mem,
                             max_steps=max_steps, record_trace=record_traces,
-                            injection=injection_spec, compiled=chain,
+                            injection=injection_spec, compiled=compiled_program,
                         )
                         if len(sim._context_pool) >= _POOL_LIMIT:
                             sim._context_pool.clear()
@@ -2258,8 +2255,7 @@ def launch_vectorized(
                     sc_ctx = ThreadContext(
                         program, specials, heap, shared, param_mem,
                         max_steps=max_steps, record_trace=record_traces,
-                        injection=injection_spec,
-                        compiled=compiled_program.bind(specials),
+                        injection=injection_spec, compiled=compiled_program,
                     )
                 runner.attach_scalar(sc_slot, sc_ctx)
             barrier_hook = None

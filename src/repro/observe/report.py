@@ -9,7 +9,7 @@ tests consume the same structure.  Sections:
 * ``phases``      — where injection milliseconds go, by pipeline phase;
 * ``tertiles``    — latency and phase mix by fault-site depth tertile;
 * ``checkpoint``  — snapshot-store hit/miss/skip economics;
-* ``compiled``    — closure-chain bind-cache efficiency;
+* ``compiled``    — closure-chain bind-cache efficiency (older logs only);
 * ``workers``     — per-worker utilisation and load imbalance;
 * ``stragglers``  — sites slower than the p99, with their phase splits;
 * ``funnel``      — the pruning-stage site funnel;
@@ -161,14 +161,13 @@ def _checkpoint_section(log: CampaignLog, counters, gauges) -> dict | None:
     }
 
 
-def _compiled_section(log: CampaignLog, counters) -> dict | None:
+def _compiled_section(counters) -> dict | None:
+    """Closure-chain cache rates, carried only by logs of older releases
+    (the compiled backend no longer binds per-thread chains)."""
+    if not {"compiled.chain_hits", "compiled.chain_misses"} & counters.keys():
+        return None
     hits = counters.get("compiled.chain_hits", 0)
     misses = counters.get("compiled.chain_misses", 0)
-    backends = {e.backend for e in log.injections} | {
-        e.backend for e in log.sim_runs
-    }
-    if hits + misses == 0 and "compiled" not in backends:
-        return None
     lookups = hits + misses
     return {
         "chain_hits": hits,
@@ -325,7 +324,7 @@ def build_report(
         "phases": _phase_section(injections),
         "tertiles": _tertile_section(injections),
         "checkpoint": _checkpoint_section(log, counters, gauges),
-        "compiled": _compiled_section(log, counters),
+        "compiled": _compiled_section(counters),
         "workers": _worker_section(log, counters, gauges, histograms),
         "stragglers": _straggler_section(log),
         "funnel": [

@@ -1,8 +1,8 @@
-"""Differential fuzzing: compiled closure chains vs the interpreter.
+"""Differential fuzzing: compiled basic blocks vs the interpreter.
 
-``repro.gpu.compiler`` re-implements instruction semantics as pre-bound
-closures (with exec-generated fast paths for int/float ALU and set/setp),
-so its correctness argument is equivalence, not review: this harness
+``repro.gpu.compiler`` re-implements instruction semantics as generated
+basic-block and single-step functions, so its correctness argument is
+equivalence, not review: this harness
 generates random programs spanning every opcode, guarded instructions,
 both memory spaces, run-time loops and barriers, runs each on both
 backends, and asserts the complete observable state matches — traces,
@@ -258,7 +258,7 @@ def build_fuzz_instance(seed: int, n_body: int = 48) -> KernelInstance:
     )
 
 
-def _launch(instance: KernelInstance, backend: str):
+def _launch(instance: KernelInstance, backend: str, traced: bool = True):
     sim = GPUSimulator(backend=backend)
     memory = instance.initial_memory.snapshot()
     result = sim.launch(
@@ -266,19 +266,26 @@ def _launch(instance: KernelInstance, backend: str):
         instance.geometry,
         instance.param_bytes,
         memory=memory,
-        record_traces=True,
+        record_traces=traced,
         record_write_logs=True,
     )
     lo, hi = memory.allocation_span()
     return result, bytes(memory.raw_window(lo, hi))
 
 
-@pytest.mark.parametrize("backend", ["compiled", "vectorized"])
+# Untraced launches are where the compiled backend runs fused blocks
+# (traced runs single-step), so both arms are fuzzed.
+@pytest.mark.parametrize(
+    ("backend", "traced"),
+    [("compiled", True), ("vectorized", True),
+     ("compiled", False), ("vectorized", False)],
+    ids=["compiled", "vectorized", "compiled-untraced", "vectorized-untraced"],
+)
 @pytest.mark.parametrize("seed", range(12))
-def test_fuzzed_programs_execute_identically(seed, backend):
+def test_fuzzed_programs_execute_identically(seed, backend, traced):
     instance = build_fuzz_instance(seed)
-    ref, ref_heap = _launch(instance, "interpreter")
-    got, got_heap = _launch(instance, backend)
+    ref, ref_heap = _launch(instance, "interpreter", traced)
+    got, got_heap = _launch(instance, backend, traced)
     assert got.traces == ref.traces
     assert got.cta_write_logs == ref.cta_write_logs
     assert got.instructions == ref.instructions

@@ -93,6 +93,18 @@ class TestSections:
         compiled = report["compiled"]
         assert compiled["hit_rate"] == pytest.approx(380 / 400)
 
+    def test_compiled_section_needs_chain_counters(self):
+        """Only logs of releases that bound per-thread chains carry them."""
+        from repro.observe.loader import CampaignLog
+
+        event = InjectionEvent(
+            1.0, thread=0, dyn_index=0, bit=0, model="value",
+            outcome="masked", fast_path=True, duration_s=0.01, backend="compiled",
+        )
+        report = build_report(CampaignLog(events=[event], injections=[event]))
+        assert report["compiled"] is None
+        assert "chain-cache" not in render_text(report)
+
     def test_worker_imbalance_from_busy_counters(self, report):
         workers = report["workers"]
         assert [r["worker"] for r in workers["rows"]] == ["w1", "w2"]
