@@ -59,6 +59,7 @@ from ..gpu.checkpoint import (
     derive_checkpoint_interval,
 )
 from ..gpu.isa import MemRef
+from ..gpu.tracing import TraceTable
 from ..kernels.registry import KernelInstance
 from ..telemetry import NULL_TELEMETRY, InjectionEvent, Telemetry
 from .model import FaultModel, InjectionSpec, RegisterFileSite, StoreAddressSite
@@ -74,6 +75,18 @@ DEFAULT_HANG_FACTOR = 10
 ADDRESS_BITS = 32
 
 _EMPTY_PATCH = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.uint8))
+
+
+def _span_bytes(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Every byte of the spans ``[start, start + length)``.
+
+    One fancy index per distinct length (loads and stores move 2, 4 or 8
+    bytes), so the cost is a handful of array operations per log.
+    """
+    parts = [np.empty(0, dtype=np.int64)]
+    for nbytes in np.unique(lengths).tolist():
+        parts.append((starts[lengths == nbytes][:, None] + np.arange(nbytes)).ravel())
+    return np.concatenate(parts)
 
 
 def _program_uses_shared(program) -> bool:
@@ -98,7 +111,7 @@ class GoldenState:
     a full traced-and-logged run.
     """
 
-    traces: list
+    traces: TraceTable
     cta_write_logs: list
     cta_read_logs: list | None
     thread_write_logs: list | None
@@ -201,13 +214,9 @@ class FaultInjector:
         self._golden_output = instance.output_bytes(golden_memory)
         self._cta_write_logs = result.cta_write_logs
         self._cta_read_logs = result.cta_read_logs
-        tpc = instance.geometry.threads_per_cta
-        self._cta_budget = [
-            self.hang_factor
-            * max(len(self.traces[cta * tpc + s]) for s in range(tpc))
-            + 256
-            for cta in range(instance.geometry.n_ctas)
-        ]
+        geometry = instance.geometry
+        cta_icnt = self.traces.icnt.reshape(geometry.n_ctas, geometry.threads_per_cta)
+        self._cta_budget = (self.hang_factor * cta_icnt.max(axis=1) + 256).tolist()
         self.fallback_count = 0  # full re-executions forced by write overlap
 
         self._build_ownership_masks(result)
@@ -242,6 +251,8 @@ class FaultInjector:
         the golden run; ``_cta_write_count`` counts owning CTAs per byte,
         so "some *other* CTA wrote this byte" is ``count > own`` — the
         vectorised replacement for the former per-byte ``set`` scans.
+        Golden accesses all lie inside allocations, hence inside the
+        window, so their offsets index the masks directly.
         """
         geometry = self.instance.geometry
         lo, hi = self.instance.initial_memory.allocation_span()
@@ -260,24 +271,29 @@ class FaultInjector:
             self._cta_sliceable = [False] * n_ctas
             return
         self._cta_read_mask = np.zeros((n_ctas, size), dtype=bool)
-        for cta, log in enumerate(result.cta_read_logs):
-            mask = self._cta_read_mask[cta]
-            for address, nbytes in log:
-                start = address - lo
-                mask[start : start + nbytes] = True
+        for cta, (addresses, sizes) in enumerate(result.cta_read_logs):
+            self._cta_read_mask[cta][_span_bytes(addresses - lo, sizes)] = True
         # Threads-per-byte counts within each CTA, plus each thread's own
-        # written-byte offsets (for subtracting its contribution).
+        # written-byte offsets (for subtracting its contribution): every
+        # (thread, byte) pair any golden write covers, as one sorted
+        # array of ``thread * size + offset`` keys.
+        entries = np.array(
+            [
+                (thread, address - lo, len(raw))
+                for thread, log in enumerate(result.thread_write_logs)
+                for address, raw in log
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        threads, starts, lengths = entries.T
+        keys = np.unique(_span_bytes(threads * size + starts, lengths))
+        owner, offsets = np.divmod(keys, size)
         self._thread_write_count = np.zeros((n_ctas, size), dtype=np.int16)
-        self._thread_write_offsets: list[np.ndarray] = []
-        scratch = np.zeros(size, dtype=bool)
-        for thread, log in enumerate(result.thread_write_logs):
-            scratch[:] = False
-            for address, raw in log:
-                start = address - lo
-                scratch[start : start + len(raw)] = True
-            offsets = np.flatnonzero(scratch)
-            self._thread_write_offsets.append(offsets)
-            self._thread_write_count[geometry.cta_of_thread(thread)][offsets] += 1
+        np.add.at(
+            self._thread_write_count, (owner // geometry.threads_per_cta, offsets), 1
+        )
+        bounds = np.searchsorted(owner, np.arange(1, geometry.n_threads))
+        self._thread_write_offsets: list[np.ndarray] = np.split(offsets, bounds)
         # A CTA is thread-sliceable when its golden reads never touch its
         # golden writes: no thread observed any thread's output, so every
         # thread's golden behaviour is schedule-independent.

@@ -312,8 +312,9 @@ class PropagationTracer:
         injector = self._injector
         geometry = injector.instance.geometry
         cta = geometry.cta_of_thread(thread)
-        golden_trace = injector.traces[thread]
-        golden_len = len(golden_trace)
+        # The sink compares one pc per step: a list, not an array view.
+        golden_pcs = injector.traces[thread].pcs.tolist()
+        golden_len = len(golden_pcs)
         flip = spec.dyn_index
         snaps = self._golden_stream(thread)
 
@@ -332,7 +333,7 @@ class PropagationTracer:
             state["last_dyn"] = dyn
             if dyn <= flip or state["div_dyn"] is not None:
                 return
-            if dyn >= golden_len or pc != golden_trace[dyn][0]:
+            if dyn >= golden_len or pc != golden_pcs[dyn]:
                 state["div_dyn"] = dyn
                 state["div_pc"] = pc
                 return
@@ -380,7 +381,7 @@ class PropagationTracer:
             model=spec.model.value,
             outcome=outcome.value,
             backend=injector.backend,
-            first_corrupted_pc=golden_trace[flip][0],
+            first_corrupted_pc=golden_pcs[flip],
             replay_outcome=status,
             faulty_icnt=state["last_dyn"] + 1,
             corruption_events=tuple(events),

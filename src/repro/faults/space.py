@@ -16,19 +16,19 @@ import bisect
 import numpy as np
 
 from ..errors import FaultInjectionError
-from ..gpu.tracing import ThreadTrace
+from ..gpu.tracing import TraceTable
 from .site import FaultSite
 
 
 class FaultSpace:
     """Counting / indexing view over every (thread, dyn instr, bit) site."""
 
-    def __init__(self, traces: list[ThreadTrace]) -> None:
+    def __init__(self, traces: TraceTable) -> None:
         self._traces = traces
+        self._thread_sites = traces.sites.tolist()
+        self._thread_cum = [0] + np.cumsum(traces.sites).tolist()
         # Per-thread cumulative widths over trace entries, for O(log n)
         # random indexing; built lazily per thread to keep startup cheap.
-        self._thread_sites = [sum(w for _, w in trace) for trace in traces]
-        self._thread_cum = np.cumsum([0] + self._thread_sites).tolist()
         self._entry_cums: dict[int, list[int]] = {}
 
     @property
@@ -48,8 +48,8 @@ class FaultSpace:
     def _entry_cum(self, thread: int) -> list[int]:
         cum = self._entry_cums.get(thread)
         if cum is None:
-            widths = [w for _, w in self._traces[thread]]
-            cum = np.cumsum([0] + widths).tolist()
+            widths = self._traces[thread].widths
+            cum = [0] + np.cumsum(widths, dtype=np.int64).tolist()
             self._entry_cums[thread] = cum
         return cum
 

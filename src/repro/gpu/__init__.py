@@ -30,15 +30,14 @@ from .simulator import (
     LaunchResult,
     resolve_backend,
 )
-from .tracing import ThreadTrace, TraceSummary, static_key_sequence, summarize
-from .vector import CompactTrace, VectorFallback, VectorProgram
+from .tracing import ThreadTrace, TraceTable, static_key_sequence
+from .vector import VectorFallback, VectorProgram
 
 __all__ = [
     "BACKENDS",
     "CTACheckpoint",
     "CheckpointPlan",
     "CheckpointStore",
-    "CompactTrace",
     "CompiledProgram",
     "DEFAULT_BUDGET_MB",
     "DEFAULT_MAX_STEPS",
@@ -65,12 +64,11 @@ __all__ = [
     "Special",
     "ThreadCheckpoint",
     "ThreadTrace",
-    "TraceSummary",
+    "TraceTable",
     "VectorFallback",
     "VectorProgram",
     "flip_bit",
     "pack_params",
     "resolve_backend",
     "static_key_sequence",
-    "summarize",
 ]

@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (thread -> checkpoint)
     from .memory import SharedMemory
     from .thread import ThreadContext
+    from .tracing import TraceTable
 
 #: Default per-process snapshot-memory budget in MiB
 #: (``FaultInjector(checkpoint_budget_mb=)``).
@@ -51,7 +52,7 @@ DEFAULT_BUDGET_MB = 64.0
 MIN_AUTO_DEPTH = 192
 
 
-def derive_checkpoint_interval(traces) -> int:
+def derive_checkpoint_interval(traces: TraceTable) -> int:
     """Per-kernel default ``checkpoint_interval`` from trace-length tertiles.
 
     The revenue of a snapshot is the golden prefix it lets deep faults
@@ -63,7 +64,7 @@ def derive_checkpoint_interval(traces) -> int:
     strike point, coarse enough that capture stays a few percent of run
     time.  An explicit ``checkpoint_interval`` always wins over this.
     """
-    lengths = sorted(len(t) for t in traces if t)
+    lengths = sorted(n for n in traces.icnt.tolist() if n)
     if not lengths:
         return 0
     deep = lengths[min(len(lengths) - 1, (2 * len(lengths)) // 3)]

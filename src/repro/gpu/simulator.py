@@ -29,7 +29,7 @@ from .cta import run_cta
 from .memory import GlobalMemory, ParamMemory, SharedMemory
 from .program import Program
 from .thread import ThreadContext
-from .tracing import ThreadTrace
+from .tracing import TraceTable, read_log_arrays
 
 #: Generous per-thread budget for golden runs; catches authoring bugs only.
 DEFAULT_MAX_STEPS = 1_000_000
@@ -123,15 +123,17 @@ class LaunchResult:
     """Artifacts of one launch."""
 
     geometry: LaunchGeometry
-    traces: list[ThreadTrace] | None
+    #: Traces of the launched threads, in global-thread order.
+    traces: TraceTable | None
     cta_write_logs: list[list[tuple[int, bytes]]] | None
     injection_applied: bool
     instructions: int = 0
     barrier_rounds: int = 0
     #: Per-thread global-write attribution (``record_thread_write_logs``).
     thread_write_logs: list[list[tuple[int, bytes]]] | None = None
-    #: Per-CTA ``(address, size)`` load logs (``record_read_logs``).
-    cta_read_logs: list[list[tuple[int, int]]] | None = None
+    #: Per-CTA load logs (``record_read_logs``): ``(addresses, sizes)``
+    #: integer arrays in slot-major issue order.
+    cta_read_logs: list[tuple[np.ndarray, np.ndarray]] | None = None
 
 
 class GPUSimulator:
@@ -239,7 +241,7 @@ class GPUSimulator:
         Args:
             param_bytes: packed kernel-parameter block.
             memory: heap to run against (defaults to the simulator's own).
-            record_read_logs: log every global load as ``(address, size)``
+            record_read_logs: log every global load's address and size
                 per CTA (golden runs; powers thread-sliced injection).
             record_thread_write_logs: attribute global writes to the
                 issuing thread (requires ``record_write_logs``).
@@ -333,13 +335,15 @@ class GPUSimulator:
                         self.telemetry.count("vector.fallbacks")
             compiled_program = program.compiled(param_mem)
 
-        traces: list[ThreadTrace] | None = None
-        trace_map: dict[int, ThreadTrace] = {}
+        # Threads append one tuple per traced step and GlobalMemory.load
+        # one per logged load; each CTA's lists become arrays as soon as
+        # it finishes, so only one CTA's tuples are alive at a time.
+        cta_tables: list[TraceTable] = []
         write_logs: list[list[tuple[int, bytes]]] | None = (
             [[] for _ in range(geometry.n_ctas)] if record_write_logs else None
         )
-        read_logs: list[list[tuple[int, int]]] | None = (
-            [[] for _ in range(geometry.n_ctas)] if record_read_logs else None
+        read_logs: list[tuple[np.ndarray, np.ndarray]] | None = (
+            [read_log_arrays([])] * geometry.n_ctas if record_read_logs else None
         )
         thread_write_logs: list[list[tuple[int, bytes]]] | None = (
             [[] for _ in range(geometry.n_threads)]
@@ -462,8 +466,9 @@ class GPUSimulator:
                 caller_read_log = heap.read_log
                 if write_logs is not None:
                     heap.write_log = write_logs[cta]
+                cta_reads: list[tuple[int, int]] = []
                 if read_logs is not None:
-                    heap.read_log = read_logs[cta]
+                    heap.read_log = cta_reads
                 segment_logs = (
                     [thread_write_logs[cta * tpc + slot] for slot in slots]
                     if thread_write_logs is not None
@@ -486,9 +491,13 @@ class GPUSimulator:
                     # actually executed, not the skipped golden prefix.
                     instructions -= skipped
                     total_skipped += skipped
+                if record_traces:
+                    cta_tables.append(
+                        TraceTable.from_lists([thread.trace for thread in threads])
+                    )
+                if read_logs is not None:
+                    read_logs[cta] = read_log_arrays(cta_reads)
                 for slot, thread in zip(slots, threads):
-                    if record_traces:
-                        trace_map[cta * tpc + slot] = thread.trace  # type: ignore[assignment]
                     if injection_thread == cta * tpc + slot:
                         injection_applied = thread.injection is None
         except HangDetected:
@@ -534,14 +543,9 @@ class GPUSimulator:
             owner = geometry.cta_of_thread(injection_thread)
             if owner not in ctas:  # pragma: no cover - defensive
                 raise FaultInjectionError("injection thread outside launched CTAs")
-        if record_traces:
-            if only_cta is None and only_thread is None:
-                traces = [trace_map[t] for t in range(geometry.n_threads)]
-            else:
-                traces = [trace_map[t] for t in sorted(trace_map)]
         return LaunchResult(
             geometry=geometry,
-            traces=traces,
+            traces=TraceTable.concat(cta_tables) if record_traces else None,
             cta_write_logs=write_logs,
             injection_applied=injection_applied,
             instructions=instructions,

@@ -28,7 +28,7 @@ from .isa import DataType, Imm, MemRef, Param, Reg, Special
 from .memory import GlobalMemory, ParamMemory, SharedMemory
 from .program import Program
 from .registers import RegisterFile, flip_bit
-from .tracing import ThreadTrace
+from .tracing import TraceEntry
 
 
 def _normalize_injection(injection) -> InjectionSpec | None:
@@ -91,7 +91,7 @@ class ThreadContext:
         self.state = ThreadState.RUNNING
         self.dyn_count = 0
         self.max_steps = max_steps
-        self.trace: ThreadTrace | None = [] if record_trace else None
+        self.trace: list[TraceEntry] | None = [] if record_trace else None
         self.injection = _normalize_injection(injection)
         self.specials = specials
         self.global_mem = global_mem

@@ -59,8 +59,16 @@ from .isa import (
 )
 from .memory import SharedMemory, decode_value, encode_value
 from .thread import ThreadContext, ThreadState
+from .tracing import (
+    ADDRESS_DTYPE,
+    SIZE_DTYPE,
+    WIDTH_DTYPE,
+    TraceTable,
+    pc_dtype,
+    read_log_arrays,
+)
 
-__all__ = ["VectorFallback", "CompactTrace", "VectorProgram", "launch_vectorized"]
+__all__ = ["VectorFallback", "VectorProgram", "launch_vectorized"]
 
 _U64_MASK = (1 << 64) - 1
 _U64 = np.uint64
@@ -81,62 +89,6 @@ class VectorFallback(Exception):
     must stay invisible — the simulator catches it and re-runs the launch
     on the classic path.
     """
-
-
-class CompactTrace:
-    """A per-thread dynamic trace stored as parallel numpy arrays.
-
-    List-compatible with the classic ``[(pc, width), ...]`` traces for
-    every consumer in the tree (``len``, iteration, indexing, equality,
-    pickling), at a fraction of the memory — the difference between a
-    paper-scale 16384-thread golden trace fitting in a few hundred MB and
-    not fitting at all.
-    """
-
-    __slots__ = ("pcs", "widths")
-
-    def __init__(self, pcs: np.ndarray, widths: np.ndarray) -> None:
-        self.pcs = pcs
-        self.widths = widths
-
-    def __len__(self) -> int:
-        return len(self.pcs)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(zip(self.pcs[index].tolist(), self.widths[index].tolist()))
-        return (int(self.pcs[index]), int(self.widths[index]))
-
-    def __iter__(self):
-        return iter(zip(self.pcs.tolist(), self.widths.tolist()))
-
-    def __eq__(self, other):
-        if isinstance(other, CompactTrace):
-            return np.array_equal(self.pcs, other.pcs) and np.array_equal(
-                self.widths, other.widths
-            )
-        if isinstance(other, (list, tuple)):
-            if len(other) != len(self.pcs):
-                return False
-            return all(
-                p == op and w == ow
-                for (p, w), (op, ow) in zip(self, other)
-            )
-        return NotImplemented
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __reduce__(self):
-        return (CompactTrace, (self.pcs, self.widths))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CompactTrace({len(self.pcs)} entries)"
 
 
 # ------------------------------------------------------------------ operands
@@ -287,9 +239,6 @@ class VectorProgram:
             self._decode_one(pc, entry, colmap, param_mem)
             for pc, entry in enumerate(decoded)
         ]
-        # Trace pc dtype: int16 comfortably covers every real program and
-        # halves golden-trace memory at paper scale.
-        self.pc_dtype = np.int16 if self.end < 32767 else np.int32
 
     # ------------------------------------------------------------- decoding
 
@@ -908,7 +857,7 @@ def _vop_ld(rn, d, idx):
         if rn.paint:
             rn._paint_read(rn.heap_board, idx, pos)
         if rn.record_reads:
-            rn.segment_records.append(("R", idx, addr, size))
+            rn.segment_reads.append((idx, addr, size))
         raw = rn.heap_view[pos]
     vals = raw.view(d.np_load).ravel()
     kind = d.np_load.kind
@@ -1027,6 +976,9 @@ class _VectorCTARunner:
     def __init__(self, vprog, nlanes: int, specials_list) -> None:
         self.vprog = vprog
         self.nlanes = nlanes
+        #: Narrowest lane dtype: stable argsorts on 8/16-bit keys are
+        #: radix sorts.
+        self.lane_key = np.min_scalar_type(nlanes - 1)
         ncols = vprog.ncols
         self.ibits = np.zeros((ncols, nlanes), np.uint64)
         self.neg = np.zeros((ncols, nlanes), bool)
@@ -1046,7 +998,12 @@ class _VectorCTARunner:
         self.paint = nlanes > 1
         self.parked: dict[int, BaseException] = {}
         self.segment_records: list = []
+        #: Global loads of the current segment: ``(lanes, addresses,
+        #: size)`` in step order; flushed slot-major into ``read_parts``.
+        self.segment_reads: list = []
+        self.read_parts: list[tuple[np.ndarray, np.ndarray]] = []
         self.flushed: list[tuple[int, bytes]] = []
+        #: ``(lanes, pc, width)`` per traced step, in step order.
         self.trace_chunks: list = []
         self.scalar_slot = -1
         self.scalar_ctx = None
@@ -1332,7 +1289,9 @@ class _VectorCTARunner:
             if self.paint and size:
                 self._paint_read_scalar(self.heap_board, lane, address, size)
             if self.record_reads:
-                self.segment_records.append(("r", lane, address, size))
+                self.segment_reads.append(
+                    (np.array([lane]), np.array([address]), size)
+                )
             return value
         raise ExecutionFault(f"ld source {s!r} is not a memory operand")
 
@@ -1488,7 +1447,7 @@ class _VectorCTARunner:
 
     def prepare(
         self, heap, shared, param_mem, max_steps, tracing,
-        write_target, read_target, thread_targets,
+        write_target, record_reads, thread_targets,
     ):
         """Rebind one launch's memories/logs and zero all lane state."""
         self.heap = heap
@@ -1497,9 +1456,8 @@ class _VectorCTARunner:
         self.max_steps = max_steps
         self.tracing = tracing
         self.write_target = write_target
-        self.read_target = read_target
         self.thread_targets = thread_targets
-        self.record_reads = read_target is not None
+        self.record_reads = record_reads
         self.heap_view = heap.array_view()
         self.heap_bounds = heap.allocation_arrays()
         self.heap_board = _board_for(heap, len(heap._data)) if self.paint else None
@@ -1524,6 +1482,8 @@ class _VectorCTARunner:
         self.status_dirty = False
         self.parked.clear()
         self.segment_records = []
+        self.segment_reads = []
+        self.read_parts = []
         self.flushed = []
         self.trace_chunks = []
         self.scalar_slot = -1
@@ -1676,10 +1636,11 @@ class _VectorCTARunner:
                     self._paint_write_scalar(self.heap_board, lane, address, len(raw))
                 records.append(("w", lane, address, raw))
             if temp_r:
+                lanes = np.array([lane])
                 for address, size in temp_r:
                     if self.paint:
                         self._paint_read_scalar(self.heap_board, lane, address, size)
-                    records.append(("r", lane, address, size))
+                    self.segment_reads.append((lanes, np.array([address]), size))
 
     # ------------------------------------------------------------ flushing
 
@@ -1695,16 +1656,14 @@ class _VectorCTARunner:
         """
         records = self.segment_records
         self.segment_records = []
+        if self.segment_reads:
+            self._flush_reads(limit)
         if not records:
             return
         n = self.nlanes
         wbuckets: list[list | None] = [None] * n
-        rbuckets: list[list | None] | None = (
-            [None] * n if self.record_reads else None
-        )
         for rec in records:
-            tag = rec[0]
-            if tag == "W":
+            if rec[0] == "W":
                 _, lidx, addrs, raw = rec
                 al = addrs.tolist()
                 for j, lane in enumerate(lidx.tolist()):
@@ -1712,28 +1671,13 @@ class _VectorCTARunner:
                     if b is None:
                         b = wbuckets[lane] = []
                     b.append((al[j], raw[j].tobytes()))
-            elif tag == "w":
+            else:  # "w"
                 _, lane, address, raw = rec
                 b = wbuckets[lane]
                 if b is None:
                     b = wbuckets[lane] = []
                 b.append((address, raw))
-            elif tag == "R":
-                _, lidx, addrs, size = rec
-                al = addrs.tolist()
-                for lane, address in zip(lidx.tolist(), al):
-                    b = rbuckets[lane]
-                    if b is None:
-                        b = rbuckets[lane] = []
-                    b.append((address, size))
-            else:  # "r"
-                _, lane, address, size = rec
-                b = rbuckets[lane]
-                if b is None:
-                    b = rbuckets[lane] = []
-                b.append((address, size))
         wt = self.write_target
-        rt = self.read_target
         tt = self.thread_targets
         flushed = self.flushed
         stop = n if limit is None else limit + 1
@@ -1745,10 +1689,37 @@ class _VectorCTARunner:
                     wt.extend(wb)
                 if tt is not None:
                     tt[slot].extend(wb)
-            if rbuckets is not None:
-                rb = rbuckets[slot]
-                if rb and rt is not None:
-                    rt.extend(rb)
+
+    def _flush_reads(self, limit):
+        """The segment's loads as one slot-major ``(addresses, sizes)`` part.
+
+        A stable sort by lane keeps each slot's loads in step order —
+        exactly the order the classic schedule issues them.
+        """
+        reads = self.segment_reads
+        self.segment_reads = []
+        lanes = np.concatenate([r[0] for r in reads])
+        addresses = np.concatenate([r[1] for r in reads])
+        sizes = np.repeat(
+            np.array([r[2] for r in reads], SIZE_DTYPE), [r[0].size for r in reads]
+        )
+        order = np.argsort(lanes.astype(self.lane_key), kind="stable")
+        if limit is not None:
+            order = order[lanes[order] <= limit]
+        self.read_parts.append(
+            (addresses[order].astype(ADDRESS_DTYPE), sizes[order])
+        )
+
+    def read_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Drain the flushed loads into one ``(addresses, sizes)`` pair."""
+        parts = self.read_parts
+        self.read_parts = []
+        if not parts:
+            return read_log_arrays([])
+        return (
+            np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]),
+        )
 
     def _abort(self):
         """Classic-exact abort: repair the heap, raise the lowest slot's exc.
@@ -1804,43 +1775,36 @@ class _VectorCTARunner:
 
     # -------------------------------------------------------------- traces
 
-    def traces_by_slot(self):
-        """Per-slot traces assembled from the step-ordered chunk log.
+    def trace_table(self) -> TraceTable:
+        """Drain the step-ordered chunk log into this CTA's trace table.
 
-        A stable sort by lane groups each lane's entries while preserving
-        step order within the lane — exactly the order the interpreter
-        appends them.
+        One ``np.repeat`` per column expands each step's pc and width over
+        its lanes; a stable sort by lane then groups each lane's entries
+        while preserving step order within the lane — exactly the order
+        the interpreter appends them.  The demoted (injected) thread's own
+        trace joins as one-lane chunks after every vector step, which the
+        stable sort leaves in its issue order.
         """
         n = self.nlanes
-        pc_dtype = self.vprog.pc_dtype
         chunks = self.trace_chunks
-        if chunks:
-            lanes = np.concatenate([c[0] for c in chunks])
-            pcs = np.concatenate(
-                [np.full(c[0].size, c[1], pc_dtype) for c in chunks]
-            )
-            widths = np.concatenate(
-                [np.full(c[0].size, c[2], np.int16) for c in chunks]
-            )
-            order = np.argsort(lanes, kind="stable")
-            lanes = lanes[order]
-            pcs = pcs[order]
-            widths = widths[order]
-            bounds = np.cumsum(np.bincount(lanes, minlength=n))
-        else:
-            pcs = np.empty(0, pc_dtype)
-            widths = np.empty(0, np.int16)
-            bounds = np.zeros(n, np.int64)
-        out = []
-        start = 0
-        for slot in range(n):
-            stop = int(bounds[slot])
-            if slot == self.scalar_slot:
-                out.append(self.scalar_ctx.trace)
-            else:
-                out.append(CompactTrace(pcs[start:stop], widths[start:stop]))
-            start = stop
-        return out
+        # Runners live on in reference cycles until the collector runs;
+        # the chunk log is a CTA's trace over again, so let it go now.
+        self.trace_chunks = []
+        sc = self.scalar_ctx
+        if sc is not None and sc.trace:
+            slot = np.array([self.scalar_slot])
+            chunks = chunks + [(slot, pc, width) for pc, width in sc.trace]
+        if not chunks:
+            return TraceTable.from_lists([[]] * n)
+        lane_parts, step_pcs, step_widths = zip(*chunks)
+        sizes = [part.size for part in lane_parts]
+        lanes = np.concatenate(lane_parts).astype(self.lane_key)
+        order = np.argsort(lanes, kind="stable")
+        pcs = np.repeat(np.array(step_pcs, pc_dtype(max(step_pcs))), sizes)
+        widths = np.repeat(np.array(step_widths, WIDTH_DTYPE), sizes)
+        offsets = np.zeros(n + 1, np.int64)
+        np.cumsum(np.bincount(lanes, minlength=n), out=offsets[1:])
+        return TraceTable(pcs[order], widths[order], offsets)
 
 
 # ------------------------------------------------------- checkpoint shims
@@ -2157,15 +2121,12 @@ def launch_vectorized(
     write_logs = (
         [[] for _ in range(geometry.n_ctas)] if record_write_logs else None
     )
-    read_logs = (
-        [[] for _ in range(geometry.n_ctas)] if record_read_logs else None
-    )
     thread_write_logs = (
         [[] for _ in range(geometry.n_threads)]
         if record_thread_write_logs and record_write_logs
         else None
     )
-    trace_map: dict = {}
+    cta_tables: list[TraceTable] = []
     injection_applied = False
     t0 = time.perf_counter() if telemetry.enabled else 0.0
     instructions = 0
@@ -2178,6 +2139,8 @@ def launch_vectorized(
     caller_read_log = heap.read_log
     caller_wlen = len(caller_write_log) if caller_write_log is not None else 0
     caller_rlen = len(caller_read_log) if caller_read_log is not None else 0
+    read_logs = [read_log_arrays([])] * geometry.n_ctas if record_read_logs else None
+    record_reads = read_logs is not None or caller_read_log is not None
     span_lo, span_hi = heap.allocation_span()
     launch_image = bytes(heap._data[span_lo:span_hi])
     heap.write_log = None
@@ -2211,9 +2174,6 @@ def launch_vectorized(
             write_target = (
                 write_logs[cta] if write_logs is not None else caller_write_log
             )
-            read_target = (
-                read_logs[cta] if read_logs is not None else caller_read_log
-            )
             thread_targets = (
                 [thread_write_logs[cta * tpc + slot] for slot in range(tpc)]
                 if thread_write_logs is not None
@@ -2221,7 +2181,7 @@ def launch_vectorized(
             )
             runner.prepare(
                 heap, shared, param_mem, max_steps, record_traces,
-                write_target, read_target, thread_targets,
+                write_target, record_reads, thread_targets,
             )
             sc_ctx = None
             if (
@@ -2287,9 +2247,15 @@ def launch_vectorized(
                     executed += sc_ctx.dyn_count - int(runner.dyn[runner.scalar_slot])
                 instructions += executed - skipped
                 total_skipped += skipped
+                if read_logs is not None:
+                    read_logs[cta] = runner.read_arrays()
+                elif caller_read_log is not None:
+                    # A caller's heap log takes tuples, as GlobalMemory.load
+                    # appends them — including loads flushed before an abort.
+                    addresses, sizes = runner.read_arrays()
+                    caller_read_log.extend(zip(addresses.tolist(), sizes.tolist()))
             if record_traces:
-                for slot, trace in enumerate(runner.traces_by_slot()):
-                    trace_map[cta * tpc + slot] = trace
+                cta_tables.append(runner.trace_table())
             if sc_ctx is not None:
                 injection_applied = sc_ctx.injection is None
     except VectorFallback:
@@ -2344,15 +2310,9 @@ def launch_vectorized(
                         skipped_instructions=total_skipped,
                     )
                 )
-    traces = None
-    if record_traces:
-        if only_cta is None:
-            traces = [trace_map[t] for t in range(geometry.n_threads)]
-        else:
-            traces = [trace_map[t] for t in sorted(trace_map)]
     return LaunchResult(
         geometry=geometry,
-        traces=traces,
+        traces=TraceTable.concat(cta_tables) if record_traces else None,
         cta_write_logs=write_logs,
         injection_applied=injection_applied,
         instructions=instructions,

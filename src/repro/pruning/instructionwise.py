@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from difflib import SequenceMatcher
 
 from ..gpu.program import Program
-from ..gpu.tracing import ThreadTrace, static_key_sequence
+from ..gpu.tracing import TraceTable, static_key_sequence
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class InstructionwisePruning:
     def pruned_dyn_count(self) -> int:
         return sum(b.size for b in self.borrowed)
 
-    def common_fraction(self, traces: list[ThreadTrace]) -> float:
+    def common_fraction(self, traces: TraceTable) -> float:
         """Fraction of representative dynamic instructions pruned."""
         total = sum(len(traces[t]) for t in self.kept)
         if total == 0:
@@ -74,7 +74,7 @@ MIN_PARTIAL_ICNT = 10
 
 def prune_instructions(
     program: Program,
-    traces: list[ThreadTrace],
+    traces: TraceTable,
     representatives: list[int],
     min_common_fraction: float = 0.3,
     min_block: int = 4,

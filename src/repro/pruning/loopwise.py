@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..gpu.program import Program
-from ..gpu.tracing import ThreadTrace
+from ..gpu.tracing import ThreadTrace, TraceTable
 
 
 @dataclass(frozen=True)
@@ -97,9 +97,7 @@ def iteration_spans(
     The final header execution (the failing exit check) is not an
     iteration; its few instructions stay un-pruned.
     """
-    header_hits = [
-        i for i in range(lo, hi) if trace[i][0] == loop.header
-    ]
+    header_hits = (np.flatnonzero(trace.pcs[lo:hi] == loop.header) + lo).tolist()
     return [
         IterationSpan(a, b) for a, b in zip(header_hits, header_hits[1:])
     ]
@@ -118,7 +116,7 @@ class LoopwisePruning:
 
 def prune_loops(
     program: Program,
-    traces: list[ThreadTrace],
+    traces: TraceTable,
     threads: list[int],
     num_iter: int,
     rng: np.random.Generator,
@@ -178,7 +176,7 @@ def _sample_range(
 
 
 def loop_statistics(
-    program: Program, traces: list[ThreadTrace]
+    program: Program, traces: TraceTable
 ) -> tuple[int, float]:
     """Table VII per-kernel numbers: (#loop iterations, % insns in loops).
 

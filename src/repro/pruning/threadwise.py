@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import PruningError
 from ..gpu.simulator import LaunchGeometry
-from ..gpu.tracing import ThreadTrace
+from ..gpu.tracing import TraceTable
 from ..stats.distributions import group_by_distance
 
 
@@ -82,10 +82,6 @@ class ThreadwisePruning:
         return sum(g.site_weight for g in self.thread_groups)
 
 
-def _thread_sites(trace: ThreadTrace) -> int:
-    return sum(w for _, w in trace)
-
-
 def _group_ctas(
     cta_icnts: list[list[int]], method: str, mean_tolerance: float
 ) -> list[list[int]]:
@@ -110,7 +106,7 @@ def _group_ctas(
 
 
 def prune_threads(
-    traces: list[ThreadTrace],
+    traces: TraceTable,
     geometry: LaunchGeometry,
     method: str = "mean",
     mean_tolerance: float = 0.6,
@@ -131,14 +127,11 @@ def prune_threads(
     if len(traces) != geometry.n_threads:
         raise PruningError("trace count does not match launch geometry")
 
-    sites = [_thread_sites(t) for t in traces]
+    sites = traces.sites.tolist()
     total_sites = sum(sites)
 
     # ---- level 1: CTA groups --------------------------------------------
-    cta_icnts: list[list[int]] = [
-        [len(traces[cta * tpc + s]) for s in range(tpc)]
-        for cta in range(geometry.n_ctas)
-    ]
+    cta_icnts: list[list[int]] = traces.icnt.reshape(geometry.n_ctas, tpc).tolist()
     cta_groups: list[CTAGroup] = []
     for ctas in _group_ctas(cta_icnts, method, mean_tolerance):
         rep = ctas[0] if rng is None else int(rng.choice(ctas))
@@ -161,9 +154,8 @@ def prune_threads(
         )
         rep_cta_sites = sum(sites[rep_cta * tpc + s] for s in range(tpc))
         by_icnt: dict[int, list[int]] = {}
-        for slot in range(tpc):
-            thread = rep_cta * tpc + slot
-            by_icnt.setdefault(len(traces[thread]), []).append(thread)
+        for slot, icnt in enumerate(cta_icnts[rep_cta]):
+            by_icnt.setdefault(icnt, []).append(rep_cta * tpc + slot)
         for icnt in sorted(by_icnt):
             members = by_icnt[icnt]
             rep = members[0] if rng is None else int(rng.choice(members))

@@ -20,6 +20,7 @@ from repro.errors import SimulatorError
 from repro.gpu import (
     GPUSimulator,
     LaunchGeometry,
+    TraceTable,
     derive_checkpoint_interval,
     resolve_backend,
 )
@@ -194,11 +195,12 @@ class TestAutoBackend:
 
 class TestAutoCheckpointInterval:
     def test_shallow_traces_disable_the_layer(self):
-        assert derive_checkpoint_interval([]) == 0
-        assert derive_checkpoint_interval([[(0, 32)] * 50] * 8) == 0
+        assert derive_checkpoint_interval(TraceTable.from_lists([])) == 0
+        shallow = TraceTable.from_lists([[(0, 32)] * 50] * 8)
+        assert derive_checkpoint_interval(shallow) == 0
 
     def test_deep_traces_get_power_of_two_interval(self):
-        traces = [[(0, 32)] * 1600] * 8
+        traces = TraceTable.from_lists([[(0, 32)] * 1600] * 8)
         interval = derive_checkpoint_interval(traces)
         assert interval >= 16
         assert interval & (interval - 1) == 0  # power of two

@@ -4,6 +4,7 @@ Each optimisation replaced a simple reference implementation; these tests
 keep the optimised code byte-for-byte faithful to it:
 
 * mask-based ``_writes_escape_cta``   vs  the original per-byte set scans;
+* scatter-built ownership masks       vs  the original per-entry loops;
 * thread-sliced re-execution          vs  full-grid re-execution;
 * cached ``sample_register_file_sites`` vs  the original rescan loop.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FaultInjector, load_instance, random_campaign
+from repro import FaultInjector, all_kernels, load_instance, random_campaign
 from repro.faults.model import RegisterFileSite
 
 from ..helpers import build_saxpy_instance
@@ -74,6 +75,72 @@ class TestEscapeMask:
         injector = FaultInjector(load_instance("2dconv.k1"))
         random_campaign(injector, 80, rng=2)
         assert injector.fallback_count == 1
+
+
+def reference_ownership_state(injector) -> dict:
+    """The original per-entry loops over the golden logs, one span each."""
+    geometry = injector.instance.geometry
+    lo, hi = injector.instance.initial_memory.allocation_span()
+    size = hi - lo
+    n_ctas = geometry.n_ctas
+    write_mask = np.zeros((n_ctas, size), dtype=bool)
+    for cta, log in enumerate(injector._cta_write_logs):
+        for address, raw in log:
+            write_mask[cta, address - lo : address - lo + len(raw)] = True
+    state = {
+        "_cta_write_mask": write_mask,
+        "_cta_write_count": write_mask.sum(axis=0, dtype=np.int16),
+    }
+    if not injector._slicing_enabled:
+        state["_cta_sliceable"] = [False] * n_ctas
+        return state
+    read_mask = np.zeros((n_ctas, size), dtype=bool)
+    for cta, (addresses, sizes) in enumerate(injector._cta_read_logs):
+        for address, nbytes in zip(addresses.tolist(), sizes.tolist()):
+            read_mask[cta, address - lo : address - lo + nbytes] = True
+    counts = np.zeros((n_ctas, size), dtype=np.int16)
+    offsets_by_thread = []
+    scratch = np.zeros(size, dtype=bool)
+    for thread, log in enumerate(injector._thread_write_logs):
+        scratch[:] = False
+        for address, raw in log:
+            scratch[address - lo : address - lo + len(raw)] = True
+        offsets = np.flatnonzero(scratch)
+        offsets_by_thread.append(offsets)
+        counts[geometry.cta_of_thread(thread)][offsets] += 1
+    state.update(
+        _cta_read_mask=read_mask,
+        _thread_write_offsets=offsets_by_thread,
+        _thread_write_count=counts,
+        _cta_sliceable=[
+            not (read_mask[c] & write_mask[c]).any() for c in range(n_ctas)
+        ],
+    )
+    return state
+
+
+class TestOwnershipState:
+    @pytest.mark.parametrize("backend", ["compiled", "vectorized"])
+    @pytest.mark.parametrize("key", [spec.key for spec in all_kernels()])
+    def test_matches_per_entry_reference(self, key, backend):
+        injector = FaultInjector(load_instance(key), backend=backend)
+        want = reference_ownership_state(injector)
+        for name in ("_cta_write_mask", "_cta_write_count", "_cta_read_mask",
+                     "_thread_write_count"):
+            if name in want:
+                got = getattr(injector, name)
+                assert got.dtype == want[name].dtype, name
+                assert np.array_equal(got, want[name]), name
+        if "_thread_write_offsets" in want:
+            got = injector._thread_write_offsets
+            assert len(got) == len(want["_thread_write_offsets"])
+            for mine, ref in zip(got, want["_thread_write_offsets"]):
+                assert np.array_equal(mine, ref)
+        assert injector._cta_sliceable == want["_cta_sliceable"]
+        space = injector.space
+        sites = [sum(w for _, w in trace) for trace in injector.traces]
+        assert [space.thread_sites(t) for t in range(len(sites))] == sites
+        assert space.total_sites == sum(sites)
 
 
 class TestThreadSlicing:

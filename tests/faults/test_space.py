@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import FaultInjectionError
 from repro.faults import FaultSite, FaultSpace
+from repro.gpu import TraceTable
 
 
 def make_space():
@@ -14,7 +15,7 @@ def make_space():
         [(0, 32), (1, 0), (2, 4)],
         [(0, 16), (3, 32)],
     ]
-    return FaultSpace(traces)
+    return FaultSpace(TraceTable.from_lists(traces))
 
 
 class TestCounting:

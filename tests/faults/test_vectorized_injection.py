@@ -122,7 +122,8 @@ def test_golden_state_handoff_skips_golden_run():
 
 
 def test_vectorized_golden_traces_pickle_roundtrip():
-    """CompactTrace survives pickling (spawn-pool golden-state handoff)."""
+    """The trace table and read-log arrays survive pickling (spawn-pool
+    golden-state handoff)."""
     import pickle
 
     inj = FaultInjector(load_instance("k-means.k1"), backend="vectorized")

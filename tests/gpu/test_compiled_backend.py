@@ -268,9 +268,15 @@ def _launch(instance: KernelInstance, backend: str, traced: bool = True):
         memory=memory,
         record_traces=traced,
         record_write_logs=True,
+        record_read_logs=True,
+        record_thread_write_logs=True,
     )
     lo, hi = memory.allocation_span()
     return result, bytes(memory.raw_window(lo, hi))
+
+
+def _read_log_lists(result):
+    return [(a.tolist(), s.tolist()) for a, s in result.cta_read_logs]
 
 
 # Untraced launches are where the compiled backend runs fused blocks
@@ -288,6 +294,8 @@ def test_fuzzed_programs_execute_identically(seed, backend, traced):
     got, got_heap = _launch(instance, backend, traced)
     assert got.traces == ref.traces
     assert got.cta_write_logs == ref.cta_write_logs
+    assert _read_log_lists(got) == _read_log_lists(ref)
+    assert got.thread_write_logs == ref.thread_write_logs
     assert got.instructions == ref.instructions
     assert got.barrier_rounds == ref.barrier_rounds
     # The heap includes the register-dump epilogue: every general register,

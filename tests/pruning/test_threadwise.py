@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PruningError
-from repro.gpu import LaunchGeometry
+from repro.gpu import LaunchGeometry, TraceTable
 from repro.pruning import prune_threads
 from tests.conftest import injector_for
 
@@ -13,7 +13,8 @@ def synthetic_traces():
     """2 CTAs x 4 threads; CTA0 has iCnt mix {3,3,5,5}, CTA1 {3,3,3,3}."""
     t3 = [(0, 32)] * 3
     t5 = [(0, 32)] * 5
-    return [t3, t3, t5, t5, t3, t3, t3, t3], LaunchGeometry(grid=(2, 1), block=(4, 1))
+    traces = TraceTable.from_lists([t3, t3, t5, t5, t3, t3, t3, t3])
+    return traces, LaunchGeometry(grid=(2, 1), block=(4, 1))
 
 
 class TestSynthetic:
@@ -61,7 +62,7 @@ class TestSynthetic:
     def test_signature_method_splits_different_mixes(self):
         # Same mean, different multiset: {3,5} vs {4,4}.
         t3, t4, t5 = [(0, 32)] * 3, [(0, 32)] * 4, [(0, 32)] * 5
-        traces = [t3, t5, t4, t4]
+        traces = TraceTable.from_lists([t3, t5, t4, t4])
         geo = LaunchGeometry(grid=(2, 1), block=(2, 1))
         mean_groups = prune_threads(traces, geo, method="mean")
         sig_groups = prune_threads(traces, geo, method="signature")
@@ -76,7 +77,7 @@ class TestSynthetic:
     def test_trace_count_must_match_geometry(self):
         traces, geo = synthetic_traces()
         with pytest.raises(PruningError):
-            prune_threads(traces[:-1], geo)
+            prune_threads(TraceTable.from_lists(list(traces)[:-1]), geo)
 
 
 class TestRealKernels:
