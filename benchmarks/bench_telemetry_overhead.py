@@ -4,8 +4,8 @@ The telemetry hooks live on the injection hot path, so their cost must be
 provably negligible.  Three configurations classify the same random
 sites:
 
-* **raw**  — the pre-instrumentation code path (``_run_spec`` directly,
-  bypassing the telemetry wrapper entirely);
+* **raw**  — the uninstrumented ladder entry (``_run_spec`` directly:
+  site validation and the slice ladder, no telemetry wrapper);
 * **null** — the default ``NULL_TELEMETRY`` path every uninstrumented
   campaign takes (one ``enabled`` check per injection);
 * **live** — full telemetry (events to a memory sink, counters,
@@ -49,7 +49,6 @@ def run_overhead(key: str = "gaussian.k1") -> str:
     sites = injector.space.sample(N_SITES, np.random.default_rng(0))
 
     def raw_inject(site):
-        injector._check_site(site)
         return injector._run_spec(
             site.thread, InjectionSpec(site.dyn_index, site.bit), str(site)
         )

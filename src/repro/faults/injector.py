@@ -9,11 +9,12 @@ Injections execute over a ladder of progressively cheaper slices, each
 rung proven equivalent to the one below before its result is trusted:
 
 * **thread slice** — when the owning CTA provably exchanges no data
-  between its threads (no shared-memory instructions, and the CTA's
-  golden global reads never touch golden global writes), only the
-  injected thread re-executes.  Dynamic read/write logs of the faulty
-  run are checked against precomputed byte-ownership masks; any overlap
-  with what sibling threads read or wrote demotes the run one rung.
+  between its threads (no shared-memory instructions, the CTA's golden
+  global reads never touch its golden global writes, and no two of its
+  threads write the same byte), only the injected thread re-executes.
+  Dynamic read/write logs of the faulty run are checked against
+  precomputed byte-ownership masks; any overlap with what sibling
+  threads read or wrote demotes the run one rung.
 * **CTA slice** — the paper's fast path: the owning CTA re-executes
   against the initial heap (CTAs within one launch cannot communicate,
   so this is exact) and its writes are overlaid onto the golden final
@@ -22,14 +23,20 @@ rung proven equivalent to the one below before its result is trusted:
   overlap is detected via the same ownership masks and the run falls
   back to a full re-execution.
 * **full re-execution** — ``inject_full``, the reference slow path used
-  for cross-validation and as the final fallback.
+  for cross-validation and as the final fallback.  A CTA that shares a
+  golden-written byte with another CTA (a benign race such as every
+  thread setting one flag) goes here directly: its golden final image
+  depends on the CTA order, so no slice can rebuild it.
+
+Both slices run through one runner of four fixed stages — restore,
+execute, check, classify — with the slice level as a parameter.
 
 Hot-path engineering (see ``docs/performance.md``): one scratch heap is
 reused across injections and repaired from the write log instead of
-copying the golden heap; overlays patch only the output image instead of
-a full heap snapshot; and cross-CTA/intra-CTA overlap checks are numpy
-slice operations over precomputed byte-ownership masks rather than
-per-byte ``set`` scans.
+copying the golden heap; classification patches only the output image
+instead of a full heap snapshot; and cross-CTA/intra-CTA overlap checks
+are numpy slice operations over precomputed byte-ownership masks rather
+than per-byte ``set`` scans.
 
 Outcome classification (paper Section II-B):
 
@@ -224,8 +231,7 @@ class FaultInjector:
         # One scratch heap reused by every sliced faulty run; repaired
         # from the write log afterwards instead of re-copied.
         self._scratch_memory = instance.initial_memory.snapshot()
-        self._cta_patches: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._thread_patches: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._patches: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
         self._rf_prefix_cache: dict[int, tuple[list[int], list[tuple[str, ...]]]] = {}
 
     # --------------------------------------------------- golden-state index
@@ -266,6 +272,10 @@ class FaultInjector:
                 start = address - lo
                 mask[start : start + len(raw)] = True
         self._cta_write_count = self._cta_write_mask.sum(axis=0, dtype=np.int16)
+        # A CTA is exclusive when no other CTA writes a byte it writes;
+        # only then can a slice's revert patch rebuild the golden image.
+        shared = np.flatnonzero(self._cta_write_count > 1)
+        self._cta_exclusive = (~self._cta_write_mask[:, shared].any(axis=1)).tolist()
 
         if not self._slicing_enabled:
             self._cta_sliceable = [False] * n_ctas
@@ -288,17 +298,21 @@ class FaultInjector:
         threads, starts, lengths = entries.T
         keys = np.unique(_span_bytes(threads * size + starts, lengths))
         owner, offsets = np.divmod(keys, size)
+        ctas = owner // geometry.threads_per_cta
         self._thread_write_count = np.zeros((n_ctas, size), dtype=np.int16)
-        np.add.at(
-            self._thread_write_count, (owner // geometry.threads_per_cta, offsets), 1
-        )
+        np.add.at(self._thread_write_count, (ctas, offsets), 1)
         bounds = np.searchsorted(owner, np.arange(1, geometry.n_threads))
         self._thread_write_offsets: list[np.ndarray] = np.split(offsets, bounds)
+        racy = np.zeros(n_ctas, dtype=bool)
+        racy[ctas[self._thread_write_count[ctas, offsets] > 1]] = True
         # A CTA is thread-sliceable when its golden reads never touch its
-        # golden writes: no thread observed any thread's output, so every
-        # thread's golden behaviour is schedule-independent.
+        # golden writes (no thread observed any thread's output, so every
+        # thread's golden behaviour is schedule-independent) and each of
+        # its written bytes has one writer, which a thread patch reverts.
         self._cta_sliceable = [
-            not (self._cta_read_mask[c] & self._cta_write_mask[c]).any()
+            self._cta_exclusive[c]
+            and not racy[c]
+            and not (self._cta_read_mask[c] & self._cta_write_mask[c]).any()
             for c in range(n_ctas)
         ]
 
@@ -323,7 +337,6 @@ class FaultInjector:
 
     def inject(self, site: FaultSite) -> Outcome:
         """Classify one single-bit flip using the sliced fast paths."""
-        self._check_site(site)
         return self.inject_spec(
             site.thread, InjectionSpec(site.dyn_index, site.bit), label=str(site)
         )
@@ -385,13 +398,18 @@ class FaultInjector:
     def _run_spec(
         self, thread: int, spec: InjectionSpec, label: str | None = None
     ) -> Outcome:
-        """The uninstrumented fast path (slice, overlay, classify)."""
+        """The uninstrumented ladder: validate, then the cheapest exact slice."""
         label = label if label is not None else f"t{thread}:{spec}"
         self._check_spec(thread, spec)
         cta = self.instance.geometry.cta_of_thread(thread)
         telemetry = self.telemetry
+        if not self._cta_exclusive[cta]:
+            # Another CTA writes some byte this one writes: the golden
+            # image depends on the CTA order, which only the full run has.
+            self.fallback_count += 1
+            return self._run_spec_full(thread, spec, label)
         if self._cta_sliceable[cta]:
-            outcome = self._run_spec_thread(thread, spec, label, cta)
+            outcome = self._run_slice("thread", thread, spec, label, cta)
             if outcome is not None:
                 if telemetry.enabled:
                     telemetry.count("injections.thread_sliced")
@@ -402,91 +420,117 @@ class FaultInjector:
                 telemetry.count("injections.thread_sliced_fallback")
         if telemetry.enabled:
             telemetry.count("injections.cta_sliced")
-        return self._run_spec_cta(thread, spec, label, cta)
+        return self._run_slice("cta", thread, spec, label, cta)
 
-    def _run_spec_thread(
-        self, thread: int, spec: InjectionSpec, label: str, cta: int
+    def _run_slice(
+        self, level: str, thread: int, spec: InjectionSpec, label: str, cta: int
     ) -> Outcome | None:
-        """Re-execute only the injected thread; ``None`` = demote to CTA.
+        """Re-execute only the injected thread or its CTA on the scratch heap.
 
-        With checkpointing enabled, the deepest golden snapshot at or
-        below the fault's dynamic index is restored and only the suffix
-        executes: the thread's golden write prefix is replayed onto the
-        scratch heap beforehand, and prepended to the faulty log
-        afterwards so interference/escape/classification decisions are
-        byte-identical to a full-prefix run (the prefix's *reads* need no
-        replay — a sliceable CTA's golden reads provably never touch its
-        golden writes, so they cannot flip any check).
+        ``level`` (``"thread"`` or ``"cta"``) picks the launch argument,
+        the checkpoint-plan builder and the revert patch; the stages are
+        fixed:
+
+        1. **restore** — resume from the deepest golden checkpoint at or
+           below the flip, replaying the slice's golden write prefix onto
+           the scratch heap;
+        2. **execute** — launch the slice, then repair the scratch heap;
+        3. **check** — a thread slice that touched bytes its siblings read
+           or wrote returns ``None`` (demote to the CTA slice), even when
+           it crashed, hung or never fired; writes that escape into
+           another CTA's bytes go to the full run;
+        4. **classify** — patch the golden output image.
+
+        The prefix is prepended to the faulty log, so checks and
+        classification see what a full-prefix replay would have written.
+        The prefix's *reads* need no replay: a thread-sliceable CTA's
+        golden reads provably never touch its golden writes.
         """
-        memory = self._scratch_memory
         telemetry = self.telemetry
+        memory = self._scratch_memory
+        on_thread = level == "thread"
         faulty_log: list[tuple[int, bytes]] = []
-        read_log: list[tuple[int, int]] = []
+        read_log: list[tuple[int, int]] | None = [] if on_thread else None
         with telemetry.phase("checkpoint_restore"):
-            resume, prefix, plan = self._thread_checkpoint_plan(
-                thread, spec, faulty_log
-            )
+            if on_thread:
+                prefix, plan = self._thread_checkpoint_plan(thread, spec, faulty_log)
+            else:
+                prefix, plan = self._cta_checkpoint_plan(cta, thread, spec, faulty_log)
         if prefix:
             with telemetry.phase("prefix_replay"):
                 memory.apply_writes(prefix)
         memory.write_log = faulty_log
         memory.read_log = read_log
-        crashed = hanged = False
-        result = None
         try:
-            with telemetry.phase("suffix_exec"):
-                result = self._launcher.launch(
-                    self.instance.program,
-                    self.instance.geometry,
-                    self.instance.param_bytes,
+            result = self._execute(
+                memory,
+                thread,
+                spec,
+                max_steps=self._cta_budget[cta],
+                checkpoint=plan,
+                **({"only_thread": thread} if on_thread else {"only_cta": cta}),
+            )
+        finally:
+            memory.write_log = memory.read_log = None
+            log = prefix + faulty_log if prefix else faulty_log
+            with telemetry.phase("heap_repair"):
+                memory.revert_writes(log, self.instance.initial_memory)
+        if on_thread:
+            # Up to an abort the thread's behaviour is schedule-independent
+            # only if it never touched sibling-owned bytes.
+            with telemetry.phase("classify"):
+                if self._thread_run_interferes(thread, cta, log, read_log):
+                    return None
+        outcome = self._settled(result, spec, label)
+        if outcome is not None:
+            return outcome
+        with telemetry.phase("classify"):
+            if not self._writes_escape_cta(log, cta):
+                patch = self._slice_patch(level, thread if on_thread else cta)
+                return self._classify_patched(patch, log)
+        self.fallback_count += 1
+        return self._run_spec_full(thread, spec, label)
+
+    def _execute(self, memory: GlobalMemory, thread: int, spec: InjectionSpec, **launch):
+        """Execute stage: one faulty launch on ``memory``, timed as
+        ``suffix_exec``; CRASH or HANG when it aborts, else its result."""
+        instance = self.instance
+        try:
+            with self.telemetry.phase("suffix_exec"):
+                return self._launcher.launch(
+                    instance.program,
+                    instance.geometry,
+                    instance.param_bytes,
                     memory=memory,
-                    only_thread=thread,
                     injection=(thread, spec),
-                    max_steps=self._cta_budget[cta],
-                    checkpoint=plan,
+                    **launch,
                 )
         except MemoryFault:
-            crashed = True
-        except HangDetected:
-            hanged = True
-        finally:
-            memory.write_log = None
-            memory.read_log = None
-            full_log = prefix + faulty_log if prefix else faulty_log
-            with telemetry.phase("heap_repair"):
-                memory.revert_writes(full_log, self.instance.initial_memory)
-        # Interference must be ruled out even for crash/hang outcomes: up
-        # to the aborting access the thread's behaviour is only schedule-
-        # independent if it never touched sibling-owned bytes.
-        with telemetry.phase("classify"):
-            interferes = self._thread_run_interferes(thread, cta, full_log, read_log)
-        if interferes:
-            return None
-        if crashed:
             return Outcome.CRASH
-        if hanged:
+        except HangDetected:
             return Outcome.HANG
-        if not result.injection_applied:
-            if spec.model is FaultModel.STORE_ADDRESS:
-                # The targeted store was predicated off: a corrupted address
-                # on a store that never issues has no effect.
-                return Outcome.MASKED
-            raise FaultInjectionError(f"injection at {label} never fired")
-        with telemetry.phase("classify"):
-            escaped = self._writes_escape_cta(full_log, cta)
-        if escaped:
-            self.fallback_count += 1
-            return self._run_spec_full(thread, spec, label)
-        with telemetry.phase("classify"):
-            return self._classify_patched(self._thread_patch(thread), full_log)
+
+    @staticmethod
+    def _settled(result, spec: InjectionSpec, label: str) -> Outcome | None:
+        """The outcome an executed launch decides alone; ``None`` when it
+        completed with the flip applied and its output needs classifying."""
+        if isinstance(result, Outcome):
+            return result
+        if result.injection_applied:
+            return None
+        if spec.model is FaultModel.STORE_ADDRESS:
+            # The targeted store was predicated off: a corrupted address
+            # on a store that never issues has no effect.
+            return Outcome.MASKED
+        raise FaultInjectionError(f"injection at {label} never fired")
 
     def _thread_checkpoint_plan(
         self, thread: int, spec: InjectionSpec, faulty_log: list
-    ) -> tuple[ThreadCheckpoint | None, list, CheckpointPlan | None]:
-        """Resolve (resume snapshot, golden write prefix, launch plan)."""
+    ) -> tuple[list, CheckpointPlan | None]:
+        """Resolve (golden write prefix, launch plan) for a thread slice."""
         store = self.checkpoints
         if store is None:
-            return None, [], None
+            return [], None
         flip = spec.dyn_index
         resume = store.best_thread(thread, flip)
         base = resume.write_count if resume is not None else 0
@@ -505,81 +549,17 @@ class FaultInjector:
         self._note_checkpoint_lookup(
             "thread", resume.dyn_index if resume is not None else None
         )
-        return resume, prefix, CheckpointPlan(
+        return prefix, CheckpointPlan(
             interval=self.checkpoint_interval,
             resume=resume,
             sink=capture,
             limit=flip,
         )
 
-    def _run_spec_cta(
-        self, thread: int, spec: InjectionSpec, label: str, cta: int
-    ) -> Outcome:
-        """Re-execute the owning CTA against the (scratch) initial heap.
-
-        With checkpointing enabled, the CTA resumes from the deepest
-        barrier-boundary snapshot in which the injected thread has not yet
-        reached the fault; the CTA's golden write-log prefix is replayed
-        onto the scratch heap first and prepended to the faulty log for
-        the escape check and classification, so results are byte-identical
-        to a full-prefix CTA replay.
-        """
-        memory = self._scratch_memory
-        telemetry = self.telemetry
-        faulty_log: list[tuple[int, bytes]] = []
-        with telemetry.phase("checkpoint_restore"):
-            resume, prefix, plan = self._cta_checkpoint_plan(
-                cta, thread, spec, faulty_log
-            )
-        if prefix:
-            with telemetry.phase("prefix_replay"):
-                memory.apply_writes(prefix)
-        memory.write_log = faulty_log
-        full_log = faulty_log
-        crashed = hanged = False
-        result = None
-        try:
-            with telemetry.phase("suffix_exec"):
-                result = self._launcher.launch(
-                    self.instance.program,
-                    self.instance.geometry,
-                    self.instance.param_bytes,
-                    memory=memory,
-                    only_cta=cta,
-                    injection=(thread, spec),
-                    max_steps=self._cta_budget[cta],
-                    checkpoint=plan,
-                )
-        except MemoryFault:
-            crashed = True
-        except HangDetected:
-            hanged = True
-        finally:
-            memory.write_log = None
-            full_log = prefix + faulty_log if prefix else faulty_log
-            with telemetry.phase("heap_repair"):
-                memory.revert_writes(full_log, self.instance.initial_memory)
-        if crashed:
-            return Outcome.CRASH
-        if hanged:
-            return Outcome.HANG
-        if not result.injection_applied:
-            if spec.model is FaultModel.STORE_ADDRESS:
-                return Outcome.MASKED
-            raise FaultInjectionError(f"injection at {label} never fired")
-
-        with telemetry.phase("classify"):
-            escaped = self._writes_escape_cta(full_log, cta)
-        if escaped:
-            self.fallback_count += 1
-            return self._run_spec_full(thread, spec, label)
-        with telemetry.phase("classify"):
-            return self._classify_patched(self._cta_patch(cta), full_log)
-
     def _cta_checkpoint_plan(
         self, cta: int, thread: int, spec: InjectionSpec, faulty_log: list
-    ) -> tuple[CTACheckpoint | None, list, CheckpointPlan | None]:
-        """Resolve (resume snapshot, golden write prefix, launch plan).
+    ) -> tuple[list, CheckpointPlan | None]:
+        """Resolve (golden write prefix, launch plan) for a CTA slice.
 
         The capture sink fires at barrier releases; it keeps the snapshot
         cadence on the injected thread's ``checkpoint_interval`` grid and
@@ -588,7 +568,7 @@ class FaultInjector:
         """
         store = self.checkpoints
         if store is None:
-            return None, [], None
+            return [], None
         slot = thread % self.instance.geometry.threads_per_cta
         resume = store.best_cta(cta, slot, spec.dyn_index)
         base = resume.write_count if resume is not None else 0
@@ -618,10 +598,9 @@ class FaultInjector:
         self._note_checkpoint_lookup(
             "cta", resume.instructions if resume is not None else None
         )
-        plan = CheckpointPlan(
+        return prefix, CheckpointPlan(
             interval=interval, resume=resume, sink=sink, limit=spec.dyn_index
         )
-        return resume, prefix, plan
 
     def _note_checkpoint_lookup(self, kind: str, skipped: int | None) -> None:
         """Hit/miss/bytes telemetry for one checkpoint-store lookup."""
@@ -644,7 +623,6 @@ class FaultInjector:
 
     def inject_full(self, site: FaultSite) -> Outcome:
         """Reference slow path: re-execute the entire grid."""
-        self._check_site(site)
         return self.inject_spec_full(
             site.thread, InjectionSpec(site.dyn_index, site.bit), label=str(site)
         )
@@ -660,32 +638,16 @@ class FaultInjector:
     ) -> Outcome:
         label = label if label is not None else f"t{thread}:{spec}"
         self._check_spec(thread, spec)
-        telemetry = self.telemetry
         # A full re-execution skips nothing — clear any accounting left
         # behind by a demoted sliced attempt.
         self._skipped = 0
-        with telemetry.phase("heap_repair"):
+        with self.telemetry.phase("heap_repair"):
             memory = self.instance.initial_memory.snapshot()
-        max_steps = max(self._cta_budget)
-        try:
-            with telemetry.phase("suffix_exec"):
-                result = self._launcher.launch(
-                    self.instance.program,
-                    self.instance.geometry,
-                    self.instance.param_bytes,
-                    memory=memory,
-                    injection=(thread, spec),
-                    max_steps=max_steps,
-                )
-        except MemoryFault:
-            return Outcome.CRASH
-        except HangDetected:
-            return Outcome.HANG
-        if not result.injection_applied:
-            if spec.model is FaultModel.STORE_ADDRESS:
-                return Outcome.MASKED
-            raise FaultInjectionError(f"injection at {label} never fired")
-        with telemetry.phase("classify"):
+        result = self._execute(memory, thread, spec, max_steps=max(self._cta_budget))
+        outcome = self._settled(result, spec, label)
+        if outcome is not None:
+            return outcome
+        with self.telemetry.phase("classify"):
             return self._classify_output(memory)
 
     # -------------------------------------------- extended fault-model sites
@@ -834,37 +796,32 @@ class FaultInjector:
         self.propagation_records.append(record)
         return record
 
-    def _check_site(self, site: FaultSite) -> None:
-        if not 0 <= site.thread < len(self.traces):
-            raise FaultInjectionError(f"{site}: thread out of range")
-        trace = self.traces[site.thread]
-        if not 0 <= site.dyn_index < len(trace):
-            raise FaultInjectionError(f"{site}: dynamic instruction out of range")
-        width = trace[site.dyn_index][1]
-        if not 0 <= site.bit < width:
-            raise FaultInjectionError(
-                f"{site}: bit out of range for a {width}-bit destination"
-            )
-
     def _check_spec(self, thread: int, spec: InjectionSpec) -> None:
+        """Reject an injection that names no fault site of the golden run."""
         if not 0 <= thread < len(self.traces):
             raise FaultInjectionError(f"thread {thread} out of range")
         trace = self.traces[thread]
+        where = f"t{thread}/i{spec.dyn_index}"
         if not 0 <= spec.dyn_index < len(trace):
-            raise FaultInjectionError(
-                f"t{thread}/i{spec.dyn_index}: dynamic instruction out of range"
-            )
+            raise FaultInjectionError(f"{where}: dynamic instruction out of range")
+        pc, width = trace[spec.dyn_index]
         if spec.model is FaultModel.STORE_ADDRESS:
-            pc = trace[spec.dyn_index][0]
             if self.instance.program.instructions[pc].op != "st":
-                raise FaultInjectionError(
-                    f"t{thread}/i{spec.dyn_index}: STORE_ADDRESS target is not a store"
-                )
-            if not 0 <= spec.bit < ADDRESS_BITS:
-                raise FaultInjectionError(f"address bit {spec.bit} out of range")
+                raise FaultInjectionError(f"{where}: STORE_ADDRESS target is not a store")
         elif spec.model is FaultModel.REGISTER_FILE:
-            if not 0 <= spec.bit < ADDRESS_BITS:
-                raise FaultInjectionError(f"register bit {spec.bit} out of range")
+            if not any(
+                insn.dest is not None and insn.dest.name == spec.reg
+                for insn in self.instance.program.instructions
+            ):
+                raise FaultInjectionError(
+                    f"{where}: the program never writes register {spec.reg!r}"
+                )
+        if spec.model is not FaultModel.VALUE:
+            width = ADDRESS_BITS
+        if not 0 <= spec.bit < width:
+            raise FaultInjectionError(
+                f"{where}/b{spec.bit}: bit out of range for a {width}-bit target"
+            )
 
     def _writes_escape_cta(self, faulty_log, cta: int) -> bool:
         """Did the faulty CTA write bytes another CTA also writes?
@@ -872,7 +829,8 @@ class FaultInjector:
         Vectorised over the precomputed ownership masks: a span escapes
         iff it is not fully covered by the CTA's own golden writes and at
         least one of its bytes is owned by a different CTA
-        (``count > own`` byte-wise).
+        (``count > own`` byte-wise).  Skipping all-own spans is exact
+        for exclusive CTAs, the only ones the slices run.
         """
         own = self._cta_write_mask[cta]
         count = self._cta_write_count
@@ -924,32 +882,22 @@ class FaultInjector:
                 continue
             if cta_reads[start:end].any():
                 return True
-            counts = thread_counts[start:end]
-            if not counts.any():
-                continue
-            span_own = np.zeros(end - start, dtype=np.int16)
-            if own_offsets.size:
-                left = np.searchsorted(own_offsets, start)
-                right = np.searchsorted(own_offsets, end)
-                span_own[own_offsets[left:right] - start] = 1
-            if (counts > span_own).any():
+            # One writer per byte (the sliceable gate): the span holds a
+            # sibling's byte iff it holds more written bytes than own ones.
+            own = np.searchsorted(own_offsets, end) - np.searchsorted(own_offsets, start)
+            if np.count_nonzero(thread_counts[start:end]) > own:
                 return True
         return False
 
-    def _cta_patch(self, cta: int) -> tuple[np.ndarray, np.ndarray]:
-        """Image patch reverting CTA ``cta``'s golden writes to initial."""
-        patch = self._cta_patches.get(cta)
+    def _slice_patch(self, level: str, owner: int) -> tuple[np.ndarray, np.ndarray]:
+        """Image patch reverting one thread's or CTA's golden writes to initial."""
+        patch = self._patches.get((level, owner))
         if patch is None:
-            offsets = np.flatnonzero(self._cta_write_mask[cta])
-            patch = self._cta_patches[cta] = self._revert_patch(offsets)
-        return patch
-
-    def _thread_patch(self, thread: int) -> tuple[np.ndarray, np.ndarray]:
-        """Image patch reverting one thread's golden writes to initial."""
-        patch = self._thread_patches.get(thread)
-        if patch is None:
-            offsets = self._thread_write_offsets[thread]
-            patch = self._thread_patches[thread] = self._revert_patch(offsets)
+            if level == "thread":
+                offsets = self._thread_write_offsets[owner]
+            else:
+                offsets = np.flatnonzero(self._cta_write_mask[owner])
+            patch = self._patches[level, owner] = self._revert_patch(offsets)
         return patch
 
     def _revert_patch(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -967,15 +915,16 @@ class FaultInjector:
             return _EMPTY_PATCH
         return np.concatenate(index_parts), np.concatenate(value_parts)
 
-    def _classify_patched(
+    def _patched_image(
         self, patch: tuple[np.ndarray, np.ndarray], faulty_log
-    ) -> Outcome:
-        """Classify by patching only the output image, never a full heap.
+    ) -> np.ndarray:
+        """The output image a sliced run leaves, built without a heap.
 
-        Equivalent to the reference ``_overlay`` + ``_classify_output``
-        path: start from the golden output image, revert the slice's
-        golden writes to initial values (order-free — all revert bytes
-        are initial), then replay the faulty writes in program order.
+        Start from the golden output image, revert the slice's golden
+        writes to initial values (order-free — all revert bytes are
+        initial), then replay the faulty writes in program order.  Exact
+        when no other writer sets a reverted byte.  Returns the reused
+        scratch image, valid until the next call.
         """
         image = self._image_scratch
         np.copyto(image, self._golden_image)
@@ -992,22 +941,15 @@ class FaultInjector:
                     image[image_off + a - region_lo : image_off + b - region_lo] = (
                         np.frombuffer(raw[a - address : b - address], dtype=np.uint8)
                     )
-        if np.array_equal(image, self._golden_image):
+        return image
+
+    def _classify_patched(
+        self, patch: tuple[np.ndarray, np.ndarray], faulty_log
+    ) -> Outcome:
+        """Classify by patching only the output image, never a full heap."""
+        if np.array_equal(self._patched_image(patch, faulty_log), self._golden_image):
             return Outcome.MASKED
         return Outcome.SDC
-
-    def _overlay(self, cta: int, faulty_log) -> GlobalMemory:
-        """Golden final heap with CTA ``cta``'s writes replaced.
-
-        The reference full-heap overlay, kept for severity analysis and
-        cross-validation of the patched-image classifier.
-        """
-        final = self._golden_memory.snapshot()
-        initial = self.instance.initial_memory
-        for address, raw in self._cta_write_logs[cta]:
-            final.write_bytes(address, initial.read_bytes(address, len(raw)))
-        final.apply_writes(faulty_log)
-        return final
 
     def _classify_output(self, memory: GlobalMemory) -> Outcome:
         try:

@@ -390,7 +390,10 @@ class PropagationTracer:
             divergence_dyn=state["div_dyn"],
             divergence_pc=state["div_pc"],
             masking_dyn=masking_dyn,
-            escaped_cta=injector._writes_escape_cta(faulty_log, cta),
+            escaped_cta=(
+                not injector._cta_exclusive[cta]
+                or injector._writes_escape_cta(faulty_log, cta)
+            ),
             group=injector.injection_group,
             **heap,
             **output,
@@ -442,26 +445,13 @@ class PropagationTracer:
     def _output_geometry(self, cta: int, faulty_log) -> dict:
         """Corrupted output-image bytes: count, extent, max magnitude.
 
-        Same overlay as the injector's patched-image classifier: golden
-        image, CTA's golden writes reverted to initial, faulty writes
-        replayed in order.  For escaped injections (cross-CTA writes)
-        the overlay is CTA-local and therefore approximate — the record
-        flags those via ``escaped_cta``.
+        The injector's patched CTA image (see ``_patched_image``).  For
+        escaped injections (cross-CTA writes, or a CTA sharing written
+        bytes with another) the overlay is CTA-local and therefore
+        approximate — the record flags those via ``escaped_cta``.
         """
         injector = self._injector
-        image = injector._golden_image.copy()
-        indices, values = injector._cta_patch(cta)
-        if indices.size:
-            image[indices] = values
-        for address, raw in faulty_log:
-            end = address + len(raw)
-            for region_lo, region_hi, image_off in injector._out_regions:
-                if address < region_hi and end > region_lo:
-                    a = max(address, region_lo)
-                    b = min(end, region_hi)
-                    image[image_off + a - region_lo : image_off + b - region_lo] = (
-                        np.frombuffer(raw[a - address : b - address], dtype=np.uint8)
-                    )
+        image = injector._patched_image(injector._slice_patch("cta", cta), faulty_log)
         golden = injector._golden_image
         offsets = np.flatnonzero(image != golden)
         if not offsets.size:

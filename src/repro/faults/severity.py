@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import HangDetected, MemoryFault
 from .injector import FaultInjector
+from .model import InjectionSpec
 from .outcome import Outcome
 from .site import FaultSite
 
@@ -59,9 +59,6 @@ class SeverityInjector:
                 site=site, outcome=outcome, total_elements=total
             )
 
-        # Re-run the fast path once more to obtain the faulty outputs.
-        # (inject() already validated the site; classification above was
-        # SDC, so this run completes.)
         faulty = self._faulty_outputs(site)
         corrupted = 0
         total = 0
@@ -84,41 +81,17 @@ class SeverityInjector:
         )
 
     def _faulty_outputs(self, site: FaultSite) -> dict[str, np.ndarray]:
+        """Outputs of the reference full-grid run (the site is an SDC, so
+        the run completes)."""
         injector = self._injector
-        geometry = injector.instance.geometry
-        cta = geometry.cta_of_thread(site.thread)
         memory = injector.instance.initial_memory.snapshot()
-        log: list[tuple[int, bytes]] = []
-        memory.write_log = log
-        try:
-            injector._launcher.launch(
-                injector.instance.program,
-                geometry,
-                injector.instance.param_bytes,
-                memory=memory,
-                only_cta=cta,
-                injection=(site.thread, site.dyn_index, site.bit),
-                max_steps=injector._cta_budget[cta],
-            )
-        except (MemoryFault, HangDetected):  # pragma: no cover - outcome was SDC
-            raise
-        finally:
-            memory.write_log = None
-        if injector._writes_escape_cta(log, cta):
-            # Same fallback rule as classification: cross-CTA writes need
-            # the full-ordering re-execution.
-            full_memory = injector.instance.initial_memory.snapshot()
-            injector._launcher.launch(
-                injector.instance.program,
-                geometry,
-                injector.instance.param_bytes,
-                memory=full_memory,
-                injection=(site.thread, site.dyn_index, site.bit),
-                max_steps=max(injector._cta_budget),
-            )
-            return injector.instance.read_outputs(full_memory)
-        final = injector._overlay(cta, log)
-        return injector.instance.read_outputs(final)
+        injector._execute(
+            memory,
+            site.thread,
+            InjectionSpec(site.dyn_index, site.bit),
+            max_steps=max(injector._cta_budget),
+        )
+        return injector.instance.read_outputs(memory)
 
 
 def _max_rel_error(golden: np.ndarray, faulty: np.ndarray) -> float:

@@ -18,6 +18,7 @@ from repro import FaultInjector, all_kernels, load_instance, random_campaign
 from repro.faults.model import RegisterFileSite
 
 from ..helpers import build_saxpy_instance
+from ..helpers import build_shared_flag_instance
 
 
 def reference_writes_escape_cta(injector, faulty_log, cta) -> bool:
@@ -91,6 +92,11 @@ def reference_ownership_state(injector) -> dict:
         "_cta_write_mask": write_mask,
         "_cta_write_count": write_mask.sum(axis=0, dtype=np.int16),
     }
+    # A CTA is exclusive when no byte it writes is written by another CTA.
+    shared = state["_cta_write_count"] > 1
+    state["_cta_exclusive"] = [
+        not (write_mask[c] & shared).any() for c in range(n_ctas)
+    ]
     if not injector._slicing_enabled:
         state["_cta_sliceable"] = [False] * n_ctas
         return state
@@ -113,7 +119,10 @@ def reference_ownership_state(injector) -> dict:
         _thread_write_offsets=offsets_by_thread,
         _thread_write_count=counts,
         _cta_sliceable=[
-            not (read_mask[c] & write_mask[c]).any() for c in range(n_ctas)
+            state["_cta_exclusive"][c]
+            and not (counts[c] > 1).any()  # two threads write one byte
+            and not (read_mask[c] & write_mask[c]).any()
+            for c in range(n_ctas)
         ],
     )
     return state
@@ -137,6 +146,7 @@ class TestOwnershipState:
             for mine, ref in zip(got, want["_thread_write_offsets"]):
                 assert np.array_equal(mine, ref)
         assert injector._cta_sliceable == want["_cta_sliceable"]
+        assert injector._cta_exclusive == want["_cta_exclusive"]
         space = injector.space
         sites = [sum(w for _, w in trace) for trace in injector.traces]
         assert [space.thread_sites(t) for t in range(len(sites))] == sites
@@ -176,6 +186,101 @@ class TestThreadSlicing:
         for site in injector.space.sample(30, rng):
             injector.inject(site)
             assert injector._scratch_memory._data == initial._data
+
+
+def reference_thread_run_interferes(injector, thread, faulty_log, read_log) -> bool:
+    """Per-byte set semantics of the thread slice's interference check."""
+    geometry = injector.instance.geometry
+    cta = geometry.cta_of_thread(thread)
+    first = cta * geometry.threads_per_cta
+    written_by: dict[int, set] = {}
+    for t in range(first, first + geometry.threads_per_cta):
+        for address, raw in injector._thread_write_logs[t]:
+            for byte in range(address, address + len(raw)):
+                written_by.setdefault(byte, set()).add(t)
+    addresses, sizes = injector._cta_read_logs[cta]
+    cta_reads = {
+        byte
+        for address, nbytes in zip(addresses.tolist(), sizes.tolist())
+        for byte in range(address, address + nbytes)
+    }
+    for address, nbytes in read_log:
+        if any(byte in written_by for byte in range(address, address + nbytes)):
+            return True
+    for address, raw in faulty_log:
+        for byte in range(address, address + len(raw)):
+            if byte in cta_reads or written_by.get(byte, set()) - {thread}:
+                return True
+    return False
+
+
+class TestThreadInterference:
+    def test_matches_set_reference_on_shifted_spans(self, conv2d_injector):
+        """Writes and reads slid byte by byte across sibling-written,
+        own-written and CTA-read bytes of a thread-sliceable CTA."""
+        injector = conv2d_injector
+        geometry = injector.instance.geometry
+        cta = next(c for c, ok in enumerate(injector._cta_sliceable) if ok)
+        first = cta * geometry.threads_per_cta
+        thread, sibling = [
+            t
+            for t in range(first, first + geometry.threads_per_cta)
+            if injector._thread_write_logs[t]
+        ][:2]
+        own = injector._thread_write_logs[thread][0][0]
+        other = injector._thread_write_logs[sibling][0][0]
+        read = int(injector._cta_read_logs[cta][0][0])
+        checked = 0
+        for base in (own, other, read):
+            for delta in range(-5, 6):
+                address = base + delta
+                for log, reads in (([(address, bytes(4))], []), ([], [(address, 4)])):
+                    got = injector._thread_run_interferes(thread, cta, log, reads)
+                    want = reference_thread_run_interferes(injector, thread, log, reads)
+                    assert got == want, (base, delta, log, reads)
+                    checked += got
+        assert 0 < checked < 66
+
+
+#: (grid, block) of the shared-flag kernel: CTAs share the flag bytes,
+#: single-thread CTAs share them, and one CTA's threads share them.
+SHARED_FLAG_GEOMETRIES = [(2, 2), (4, 1), (1, 4)]
+
+
+class TestSharedWrites:
+    """Bytes several writers set: the slices' revert patches and the
+    all-own escape shortcut assume one writer, so such CTAs must leave
+    the thread slice (two writers in the CTA) or every slice (a writer
+    in another CTA)."""
+
+    @pytest.mark.parametrize("backend", ["interpreter", "compiled"])
+    @pytest.mark.parametrize("grid,block", SHARED_FLAG_GEOMETRIES)
+    def test_every_site_matches_full_rerun(self, grid, block, backend):
+        injector = FaultInjector(build_shared_flag_instance(grid, block), backend=backend)
+        space = injector.space
+        sites = [
+            site for t in range(space.n_threads) for site in space.iter_thread_sites(t)
+        ]
+        assert len(sites) == 1424
+        for site in sites:
+            assert injector.inject(site) == injector.inject_full(site), site
+
+    @pytest.mark.parametrize("grid,block", SHARED_FLAG_GEOMETRIES)
+    def test_gates(self, grid, block):
+        injector = FaultInjector(build_shared_flag_instance(grid, block))
+        want = reference_ownership_state(injector)
+        assert injector._cta_exclusive == want["_cta_exclusive"] == [grid == 1] * grid
+        assert injector._cta_sliceable == want["_cta_sliceable"] == [False] * grid
+        assert np.array_equal(
+            injector._thread_write_count, want["_thread_write_count"]
+        )
+
+    def test_non_exclusive_cta_goes_straight_to_full_run(self):
+        injector = FaultInjector(build_shared_flag_instance(2, 2))
+        sites = injector.space.sample(10, np.random.default_rng(0))
+        for site in sites:
+            injector.inject(site)
+        assert injector.fallback_count == len(sites)
 
 
 def reference_sample_register_file_sites(injector, n, rng):

@@ -128,6 +128,22 @@ class TestSiteValidation:
         with pytest.raises(FaultInjectionError):
             saxpy.inject(FaultSite(0, store_index, 0))
 
+    def test_value_bit_checked_on_every_entry(self, saxpy):
+        from repro.faults.model import InjectionSpec
+
+        width = saxpy.traces[0][0][1]
+        for inject in (saxpy.inject_spec, saxpy.inject_spec_full):
+            with pytest.raises(FaultInjectionError):
+                inject(0, InjectionSpec(0, width))
+
+    def test_unwritten_register_rejected(self, saxpy):
+        from repro.faults.model import RegisterFileSite
+
+        site = RegisterFileSite(0, 3, "nosuch", 2)
+        for inject in (saxpy.inject_spec, saxpy.inject_spec_full):
+            with pytest.raises(FaultInjectionError, match="never writes"):
+                inject(site.thread, site.spec())
+
 
 class TestFastPathExactness:
     def test_fastpath_matches_full_on_sample(self, saxpy):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro import FaultInjector, Outcome, random_campaign
+from repro import load_instance
 from repro.errors import ReproError
 from repro.faults import (
     FaultSite,
@@ -99,3 +100,17 @@ class TestSeverity:
             assert record.outcome == injector.inject(site)
             if record.outcome is not Outcome.SDC:
                 assert record.corrupted_elements == 0
+
+    def test_every_sdc_record_is_corrupted_including_escapes(self):
+        """2dconv.k1 at seed 2 holds a write escaping its CTA (the run
+        falls back to the full grid); every SDC must show corruption."""
+        injector = FaultInjector(load_instance("2dconv.k1"))
+        sites = random_campaign(injector, 80, rng=2).sites
+        assert injector.fallback_count == 1
+        severity = SeverityInjector(injector)
+        records = [severity.inject(site) for site in sites]
+        sdc = [r for r in records if r.outcome is Outcome.SDC]
+        assert sdc
+        assert all(r.corrupted_elements >= 1 for r in sdc), [
+            r.site for r in sdc if not r.corrupted_elements
+        ]

@@ -97,3 +97,52 @@ def build_loop_sum_instance(n_threads: int = 4, iters: int = 6) -> KernelInstanc
         outputs=(OutputBuffer("out", out_addr, np.dtype(np.uint32), n_threads),),
         reference={"out": expected},
     )
+
+
+def build_shared_flag_instance(grid: int = 2, block: int = 2) -> KernelInstance:
+    """Every thread sets ``flag[0] = 1`` and ``y[i] = i``: a benign race.
+
+    All threads write the same flag bytes, so no CTA (when ``grid`` > 1)
+    and no thread (when ``block`` > 1) owns its writes alone; both
+    buffers are outputs.
+    """
+    n = grid * block
+    k = KernelBuilder("shared_flag")
+    flag_ptr, y_ptr, n_p = k.params("flag", "y", "n")
+    r = k.regs("i", "t", "addr", "one")
+    k.cvt("u32", r.i, k.ctaid.x)
+    k.cvt("u32", r.t, k.ntid.x)
+    k.mul("u32", r.i, r.i, r.t)
+    k.cvt("u32", r.t, k.tid.x)
+    k.add("u32", r.i, r.i, r.t)
+    k.ld("u32", r.t, n_p)
+    with k.if_lt("u32", r.i, r.t):
+        k.ld("u32", r.addr, flag_ptr)
+        k.mov("u32", r.one, 1)
+        k.st("u32", k.global_ref(r.addr), r.one)
+        k.shl("u32", r.addr, r.i, 2)
+        k.ld("u32", r.t, y_ptr)
+        k.add("u32", r.addr, r.addr, r.t)
+        k.st("u32", k.global_ref(r.addr), r.i)
+    k.retp()
+    program = k.build()
+
+    sim = GPUSimulator()
+    flag_addr = sim.alloc_zeros(4)
+    y_addr = sim.alloc_zeros(4 * n)
+    params = pack_params(k.param_layout, {"flag": flag_addr, "y": y_addr, "n": n})
+    return KernelInstance(
+        spec=None,
+        program=program,
+        geometry=LaunchGeometry(grid=(grid, 1), block=(block, 1)),
+        param_bytes=params,
+        initial_memory=sim.memory,
+        outputs=(
+            OutputBuffer("flag", flag_addr, np.dtype(np.uint32), 1),
+            OutputBuffer("y", y_addr, np.dtype(np.uint32), n),
+        ),
+        reference={
+            "flag": np.ones(1, dtype=np.uint32),
+            "y": np.arange(n, dtype=np.uint32),
+        },
+    )

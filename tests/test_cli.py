@@ -136,6 +136,13 @@ def test_unknown_kernel_fails_loudly():
         main(["profile", "bogus.k1"])
 
 
+def test_trace_fault_rejects_unwritten_register():
+    from repro.errors import FaultInjectionError
+
+    with pytest.raises(FaultInjectionError, match="never writes register 'nosuch'"):
+        main(["trace-fault", "gaussian.k1", "rf:t0/i3/nosuch/b2"])
+
+
 def test_requires_command(capsys):
     with pytest.raises(SystemExit):
         main([])
