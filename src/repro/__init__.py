@@ -25,7 +25,7 @@ Layers (bottom-up):
 * :mod:`repro.stats`    — statistical-injection sample sizing (Eqs. 2-4)
 * :mod:`repro.pruning`  — the paper's progressive 4-stage pruning
 * :mod:`repro.analysis` — grouping analytics and table/figure data
-* :mod:`repro.telemetry` — events, metrics, spans, progress, manifests
+* :mod:`repro.telemetry` — events, metrics, spans, manifests
 """
 
 from .errors import (
@@ -60,7 +60,6 @@ from .pruning import ProgressivePruner, PrunedSpace
 from .telemetry import (
     NULL_TELEMETRY,
     MetricsRegistry,
-    ProgressReporter,
     RunManifest,
     Telemetry,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "NULL_TELEMETRY",
     "Outcome",
     "ParallelCampaignRunner",
-    "ProgressReporter",
     "PropagationRecord",
     "PropagationTracer",
     "RunManifest",

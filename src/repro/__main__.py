@@ -24,7 +24,7 @@ Commands:
 
 ``profile``/``baseline``/``stages`` accept instrumentation flags:
 ``--telemetry-out events.jsonl`` streams typed events, ``--progress``
-renders per-injection rate/ETA to stderr, and ``--manifest run.json``
+renders a rate/ETA line to stderr, and ``--manifest run.json``
 writes an auditable run manifest (config, git rev, versions, profile,
 wall clock, metrics) — see ``docs/observability.md``.  ``--workers N``
 fans the campaign's injections over N worker processes (see
@@ -62,7 +62,6 @@ from .telemetry import (
     NULL_TELEMETRY,
     JsonlSink,
     NullSink,
-    ProgressReporter,
     RunManifest,
     Telemetry,
 )
@@ -78,7 +77,7 @@ def _add_instrumentation_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--progress",
         action="store_true",
-        help="render per-injection progress (rate/ETA) to stderr",
+        help="render campaign progress (rate/ETA) to stderr",
     )
     sub.add_argument(
         "--manifest",
@@ -162,13 +161,6 @@ def _add_live_args(sub: argparse.ArgumentParser) -> None:
         default=None,
         help="if the campaign crashes, write a post-mortem dump "
         "(recent-event rings, crash site, final status, manifest) to PATH",
-    )
-    live.add_argument(
-        "--no-live",
-        action="store_true",
-        help="disable the streaming plane even when other live flags are "
-        "set (--until-ci still reports convergence from the outcome "
-        "stream)",
     )
 
 
@@ -389,8 +381,10 @@ def _build_injector(args, telemetry, manifest: RunManifest | None) -> FaultInjec
 
 
 def _live_wanted(args) -> bool:
-    """Any live-monitoring flag set (and not ``--no-live``)?"""
-    if not hasattr(args, "live_port") or getattr(args, "no_live", False):
+    """Does any flag read the live plane (``--progress`` or a live flag)?"""
+    if args.progress:
+        return True
+    if not hasattr(args, "live_port"):
         return False
     return (
         args.live_port is not None
@@ -422,26 +416,26 @@ def _live_config(args) -> dict:
 class _LivePlane:
     """One campaign's live plane: the aggregator plus its front-ends."""
 
-    def __init__(self, aggregator, server=None, writer=None):
+    def __init__(self, aggregator, server=None, writers=()):
         self.aggregator = aggregator
         self.server = server
-        self.writer = writer
+        self.writers = writers
 
     def close(self) -> None:
-        # Writer first: its final flush records the terminal state before
-        # the HTTP endpoint disappears.
-        if self.writer is not None:
-            self.writer.stop()
+        # Writers first: their final flush records the terminal state
+        # before the HTTP endpoint disappears.
+        for writer in self.writers:
+            writer.stop()
         if self.server is not None:
             self.server.stop()
 
 
 def _make_live(args, manifest: RunManifest | None = None) -> _LivePlane | None:
-    """Build the live plane when any live flag asks for it."""
+    """Build the live plane when ``--progress`` or a live flag asks for it."""
     if not _live_wanted(args):
         return None
     from .observe.live import FlightRecorder, LiveAggregator
-    from .observe.statusd import StatusFileWriter, StatusServer
+    from .observe.statusd import ProgressWriter, StatusFileWriter, StatusServer
 
     aggregator = LiveAggregator(until_ci=args.until_ci)
     if args.flight_recorder:
@@ -453,11 +447,14 @@ def _make_live(args, manifest: RunManifest | None = None) -> _LivePlane | None:
         server = StatusServer(aggregator, port=args.live_port)
         server.start()
         print(f"live status: {server.url}", file=sys.stderr)
-    writer = None
+    writers = []
     if args.live_status:
-        writer = StatusFileWriter(aggregator, args.live_status)
+        writers.append(StatusFileWriter(aggregator, args.live_status))
+    if args.progress:
+        writers.append(ProgressWriter(aggregator, sys.stderr))
+    for writer in writers:
         writer.start()
-    return _LivePlane(aggregator, server=server, writer=writer)
+    return _LivePlane(aggregator, server=server, writers=writers)
 
 
 def _print_convergence(args, result) -> None:
@@ -480,20 +477,9 @@ def _make_telemetry(args) -> Telemetry:
     """A live Telemetry when any instrumentation flag is set, else null."""
     if args.telemetry_out:
         return Telemetry(sink=JsonlSink(args.telemetry_out))
-    if args.manifest or args.progress or _live_wanted(args):
+    if args.manifest or _live_wanted(args):
         return Telemetry(sink=NullSink())
     return NULL_TELEMETRY
-
-
-def _make_progress(args, label: str) -> ProgressReporter | None:
-    if not args.progress:
-        return None
-    # On a terminal, redraw one line in place; in a pipeline or CI log,
-    # emit periodic newline heartbeats with rolling rate and ETA instead.
-    heartbeat_s = None if sys.stderr.isatty() else 5.0
-    return ProgressReporter(
-        label=label, stream=sys.stderr, heartbeat_s=heartbeat_s
-    )
 
 
 def _finish_manifest(
@@ -568,7 +554,6 @@ def cmd_profile(args) -> int:
         num_loop_iters=args.loop_iters, n_bits=args.bits, seed=args.seed
     )
     space = pruner.prune(injector)
-    progress = _make_progress(args, label=f"{args.kernel} injections")
     plane = _make_live(args, manifest=manifest)
     try:
         profile = space.estimate_profile(
@@ -576,20 +561,17 @@ def cmd_profile(args) -> int:
             executor=resolve_executor(
                 args.workers, start_method=args.start_method
             ),
-            progress=progress,
             live=plane.aggregator if plane is not None else None,
             until_ci=args.until_ci,
         )
     finally:
         if plane is not None:
             plane.close()
-    if progress is not None:
-        progress.close()
     print(f"{args.kernel}: {space.total_sites:,} sites -> "
           f"{space.n_injections:,} injections "
           f"({space.reduction_factor():,.0f}x)")
     print(profile)
-    if args.until_ci is not None and plane is not None:
+    if args.until_ci is not None:
         conv = plane.aggregator.snapshot()["convergence"]
         target = f"±{100 * args.until_ci:.1f}pp"
         if conv["converged"]:
@@ -638,7 +620,6 @@ def cmd_baseline(args) -> int:
         )
     t0 = time.perf_counter()
     injector = _build_injector(args, telemetry, manifest)
-    progress = _make_progress(args, label=f"{args.kernel} baseline")
     plane = _make_live(args, manifest=manifest)
     try:
         result = random_campaign(
@@ -648,7 +629,6 @@ def cmd_baseline(args) -> int:
             executor=resolve_executor(
                 args.workers, start_method=args.start_method
             ),
-            progress=progress,
             live=plane.aggregator if plane is not None else None,
             until_ci=args.until_ci,
             early_stop=args.until_ci is not None,
@@ -656,8 +636,6 @@ def cmd_baseline(args) -> int:
     finally:
         if plane is not None:
             plane.close()
-    if progress is not None:
-        progress.close()
     print(f"{args.kernel}: {result.n_runs} random injections "
           f"({100 * args.confidence:.1f}% CI, ±{100 * args.margin:.1f}pp)")
     print(result.profile)
@@ -687,10 +665,11 @@ def cmd_stages(args) -> int:
     t0 = time.perf_counter()
     injector = _build_injector(args, telemetry, manifest)
     pruner = ProgressivePruner(num_loop_iters=args.loop_iters, n_bits=args.bits)
-    progress = _make_progress(args, label=f"{args.kernel} stages")
-    space = pruner.prune(injector, progress=progress)
-    if progress is not None:
-        progress.close()
+
+    def progress(done: int, total: int) -> None:
+        print(f"{args.kernel} stages: {done}/{total}", file=sys.stderr)
+
+    space = pruner.prune(injector, progress=progress if args.progress else None)
     print(f"{args.kernel}: exhaustive {space.total_sites:,}")
     for stage in space.stages:
         print(f"  after {stage.name:17s}: {stage.sites_after:10,}")
@@ -722,7 +701,6 @@ def cmd_metrics(args) -> int:
         )
     t0 = time.perf_counter()
     injector = _build_injector(args, telemetry, manifest)
-    progress = _make_progress(args, label=f"{args.kernel} metrics")
     plane = _make_live(args, manifest=manifest)
     try:
         result = random_campaign(
@@ -732,7 +710,6 @@ def cmd_metrics(args) -> int:
             executor=resolve_executor(
                 args.workers, start_method=args.start_method
             ),
-            progress=progress,
             live=plane.aggregator if plane is not None else None,
             until_ci=args.until_ci,
             early_stop=args.until_ci is not None,
@@ -740,8 +717,6 @@ def cmd_metrics(args) -> int:
     finally:
         if plane is not None:
             plane.close()
-    if progress is not None:
-        progress.close()
     print(f"{args.kernel}: {result.n_runs} instrumented random injections")
     print(result.profile)
     _print_convergence(args, result)

@@ -12,10 +12,10 @@ Three campaign shapes cover everything the paper does:
 ``run_campaign`` streams: sites may be any iterable (a generator over a
 1e6-site exhaustive space never materialises twice), the profile is built
 incrementally, and an optional ``progress(done, total)`` hook fires after
-every injection.  ``random_campaign`` and ``exhaustive_campaign`` forward
-all keyword arguments (``weights``/``telemetry``/``progress``/…) to
-:func:`run_campaign`, so every campaign shape is instrumentable the same
-way.
+every injection.  Campaigns record into the injector's telemetry.
+``random_campaign`` and ``exhaustive_campaign`` forward all keyword
+arguments (``weights``/``progress``/``live``/…) to :func:`run_campaign`,
+so every campaign shape is instrumentable the same way.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..telemetry import CampaignEvent, Telemetry
+from ..telemetry import CampaignEvent
 from .injector import FaultInjector
 from .outcome import Outcome, ResilienceProfile
 from .site import FaultSite
@@ -59,7 +59,6 @@ def run_campaign(
     sites: Iterable[FaultSite],
     weights: Iterable[float] | None = None,
     *,
-    telemetry: Telemetry | None = None,
     executor=None,
     progress=None,
     total: int | None = None,
@@ -76,7 +75,6 @@ def run_campaign(
     Args:
         sites: any iterable of fault sites — consumed exactly once.
         weights: optional per-site weights, zipped strictly against sites.
-        telemetry: event/metric/span bundle; defaults to the injector's.
         executor: a :class:`~repro.parallel.ParallelCampaignRunner` (or
             anything with its ``imap`` signature) to fan injections over
             worker processes; ``None`` injects serially in-process.
@@ -89,18 +87,19 @@ def run_campaign(
             ``None`` auto-enables when the injector checkpoints; ``0``
             forces pure streaming.  Ignored when ``executor`` is given
             (workers order within their own chunks instead).
-        progress: ``callable(done, total)`` (a
-            :class:`~repro.telemetry.ProgressReporter` works directly),
-            invoked after every injection.
+        progress: ``callable(done, total)``, invoked after every
+            injection.
         total: planned site count for progress/ETA when ``sites`` has no
             ``len()`` (e.g. a generator).
         keep_sites: set False to drop the per-run site/outcome lists and
             keep only the profile — O(1) memory over huge spaces.
         label: campaign tag recorded in :class:`CampaignEvent`.
-        live: a :class:`~repro.observe.live.LiveAggregator` receiving the
-            streaming delta records (serial and pooled executors both
-            feed it).  Advisory: outcomes and the profile are identical
-            with or without it.
+        live: a :class:`~repro.observe.live.LiveAggregator`, attached to
+            the injector's telemetry for the campaign's duration so it
+            folds every ``InjectionEvent`` (serial and pooled executors
+            alike).  Needs enabled telemetry (``ValueError`` otherwise).
+            Advisory: outcomes and the profile are identical with or
+            without it.
         until_ci: convergence target — once the widest Wilson CI
             half-width over the four outcome shares drops to this value
             the campaign reports ``converged``.  Computed from the
@@ -113,7 +112,12 @@ def run_campaign(
             would bias the profile, so drivers keep this False there.
         confidence: CI confidence level for the convergence signal.
     """
-    telemetry = telemetry if telemetry is not None else injector.telemetry
+    telemetry = injector.telemetry
+    if live is not None and not telemetry.enabled:
+        raise ValueError(
+            "live= folds the campaign's telemetry events; "
+            "give the injector an enabled Telemetry"
+        )
     if total is None:
         try:
             total = len(sites)  # type: ignore[arg-type]
@@ -155,20 +159,7 @@ def run_campaign(
     converged = False
     stopped_early = False
     done = 0
-    # Feed the progress reporter cumulative effective instructions so its
-    # ETA projects remaining *work*, not remaining injection count.
-    feed_work = (
-        progress is not None
-        and telemetry.enabled
-        and hasattr(progress, "note_work")
-    )
-    # ``live`` travels as a keyword only when set, so third-party
-    # executors with the pre-live ``imap`` signature keep working.
-    stream = (
-        executor.imap(injector, pairs, telemetry)
-        if live is None
-        else executor.imap(injector, pairs, telemetry, live=live)
-    )
+    stream = executor.imap(injector, pairs, telemetry)
     try:
         with telemetry.span(f"campaign.{label}"):
             for site, weight, outcome in stream:
@@ -184,12 +175,6 @@ def run_campaign(
                         if live is not None:
                             live.note_converged()
                 if progress is not None:
-                    if feed_work:
-                        progress.note_work(
-                            telemetry.metrics.counter_value(
-                                "work.effective_instructions"
-                            )
-                        )
                     progress(done, total)
                 if converged and early_stop:
                     stopped_early = True
@@ -200,7 +185,7 @@ def run_campaign(
         raise
     finally:
         # Breaking out (early stop) must still run the executor
-        # generator's cleanup: live drain stop, pool terminate/join.
+        # generator's cleanup: pool terminate/join.
         close = getattr(stream, "close", None)
         if close is not None:
             close()

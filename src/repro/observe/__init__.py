@@ -22,11 +22,12 @@ package is the read side:
   with host-keyed, tolerance-band regression checking
   (``repro bench-check``);
 * :mod:`~repro.observe.live` — streaming telemetry plane for *in-flight*
-  campaigns: worker delta stream, rolling :class:`LiveAggregator` with
-  Wilson-CI convergence signal, crash flight recorder;
+  campaigns: a rolling :class:`LiveAggregator` folding the campaign's
+  injection events, with a Wilson-CI convergence signal and a crash
+  flight recorder;
 * :mod:`~repro.observe.statusd` — live front-ends: the ``--live-port``
-  HTTP ``/status`` endpoint, atomic status-file writer, and the
-  ``repro watch`` dashboard loop.
+  HTTP ``/status`` endpoint, the atomic status-file and ``--progress``
+  line writers, and the ``repro watch`` dashboard loop.
 """
 
 from .diff import diff_reports, load_report_json, render_diff_text
@@ -41,18 +42,17 @@ from .live import (
     LIVE_STATUS_VERSION,
     FlightRecorder,
     LiveAggregator,
-    LiveChannel,
-    QueueDrain,
     check_convergence,
     load_flight_dump,
     max_half_width,
     render_live,
+    render_progress_line,
 )
 from .loader import CampaignLog, load_campaign
 from .propagation import build_propagation_section, render_trace_text
 from .render import render_json, render_markdown, render_text
 from .report import build_report
-from .statusd import StatusFileWriter, StatusServer, watch
+from .statusd import ProgressWriter, StatusFileWriter, StatusServer, watch
 
 __all__ = [
     "HISTORY_SCHEMA_VERSION",
@@ -60,8 +60,7 @@ __all__ = [
     "CampaignLog",
     "FlightRecorder",
     "LiveAggregator",
-    "LiveChannel",
-    "QueueDrain",
+    "ProgressWriter",
     "StatusFileWriter",
     "StatusServer",
     "append_history",
@@ -79,6 +78,7 @@ __all__ = [
     "render_json",
     "render_live",
     "render_markdown",
+    "render_progress_line",
     "render_text",
     "render_trace_text",
     "watch",

@@ -4,27 +4,28 @@ Finished campaigns are well served by the event log + ``repro report``
 pipeline; an *in-flight* paper-scale campaign (hours at ~14 inj/s) is
 not.  This module is the live side:
 
-* workers (or the serial executor) push compact per-injection delta
-  records through a :class:`LiveChannel` — outcome, duration, effective
-  instruction and checkpoint hit deltas — plus periodic heartbeats, so
-  the parent sees progress *as it happens* instead of at chunk/exit
-  merges;
-* a :class:`LiveAggregator` folds those records into rolling campaign
-  state: outcome shares with Wilson CIs, a sequential convergence signal
-  (max CI half-width vs an ``until_ci`` target), injections/sec and
-  effective-instruction throughput, per-worker liveness and stall
-  detection, and depth-tertile latency;
+* a :class:`LiveAggregator` folds the campaign's
+  :class:`~repro.telemetry.InjectionEvent` records into rolling state:
+  outcome shares with Wilson CIs, a sequential convergence signal (max
+  CI half-width vs an ``until_ci`` target), injections/sec and
+  effective-instruction throughput, a work-projected ETA, per-worker
+  liveness and stall detection, and depth-tertile latency.  It attaches
+  to the campaign's :class:`~repro.telemetry.Telemetry` as a listener,
+  so it sees serial events as the injector emits them and pooled events
+  as the parent absorbs each chunk's snapshot — workers and executors
+  never know it exists;
 * :func:`render_live` turns one :meth:`LiveAggregator.snapshot` into the
   in-terminal dashboard both ``repro watch`` and the ``--live-port``
-  HTML page display;
+  HTML page display, and :func:`render_progress_line` into the
+  one-line ``--progress`` view;
 * a :class:`FlightRecorder` persists a post-mortem dump (recent-event
-  ring buffers + crash context + manifest snapshot) when a campaign
-  dies, so a dead 6-hour run is diagnosable without rerunning.
+  rings + crash context + manifest snapshot) when a campaign dies, so a
+  dead 6-hour run is diagnosable without rerunning.
 
-The plane is strictly advisory: records travel outside the in-order
-outcome path, pushes never raise into the injection loop, and a campaign
-with the plane enabled produces a byte-identical profile to one without
-(``tests/observe/test_live.py`` pins this on all three backends).
+The plane is strictly advisory: it reads events the campaign records
+anyway, and a campaign with the plane attached produces a byte-identical
+profile to one without (``tests/observe/test_live.py`` pins this on all
+three backends).
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ import time
 import traceback as traceback_module
 from collections import deque
 from pathlib import Path
-from queue import Empty
 
 from ..errors import ReproError
 from ..stats.intervals import wilson_ci
-from ..telemetry.progress import _format_duration
+from ..telemetry.events import InjectionEvent, event_to_dict
 
 #: Version stamped on ``/status`` JSON snapshots and flight-recorder
 #: dumps so downstream consumers (the future ``repro.serve`` layer, CI
@@ -49,16 +49,18 @@ LIVE_STATUS_VERSION = 1
 #: Canonical outcome order for shares/convergence (matches reports).
 OUTCOME_ORDER = ("masked", "sdc", "crash", "hang")
 
-#: Per-process ring-buffer length for the flight recorder: enough recent
-#: injections to see what a dead worker was doing, small enough to ship
-#: in one crash record.
+#: Ring-buffer length for the flight recorder: enough recent injections
+#: to see what a dead campaign was doing, small enough for one dump.
 DEFAULT_RING_SIZE = 64
 
-#: Seconds without any record from a worker before it is flagged stalled.
+#: Floor on the seconds a worker may stay silent before it is flagged
+#: stalled.
 DEFAULT_STALL_AFTER_S = 10.0
 
-#: Minimum seconds between heartbeat records from one worker.
-HEARTBEAT_INTERVAL_S = 1.0
+#: A worker is stalled once silent for this many times its own longest
+#: gap between arrivals (pool workers report once per chunk, and one
+#: chunk of paper-scale full-grid fallbacks can outlast the floor).
+STALL_GAP_FACTOR = 3.0
 
 #: Rolling-rate window (seconds of recent samples kept).
 RATE_WINDOW_S = 30.0
@@ -97,122 +99,18 @@ def check_convergence(
     return width is not None and width <= until_ci
 
 
-class LiveChannel:
-    """Per-process producer side of the live stream.
-
-    Builds the compact delta records the aggregator consumes and hands
-    them to ``push`` — a multiprocessing-queue put in pool workers,
-    :meth:`LiveAggregator.record` directly on the serial path.  Keeps the
-    flight-recorder ring of this process's recent records, per-injection
-    counter deltas (effective instructions, checkpoint hits) read from
-    the process-local metrics registry, and the heartbeat cadence.
-    Every push is wrapped: a broken queue degrades the live view, never
-    the campaign.
-    """
-
-    _COUNTER_NAMES = (
-        "work.effective_instructions",
-        "checkpoint.thread_hits",
-        "checkpoint.cta_hits",
-    )
-
-    def __init__(
-        self,
-        push,
-        worker: str,
-        metrics=None,
-        ring_size: int = DEFAULT_RING_SIZE,
-        heartbeat_s: float = HEARTBEAT_INTERVAL_S,
-    ) -> None:
-        self._push_fn = push
-        self.worker = worker
-        self.metrics = metrics
-        self.ring: deque = deque(maxlen=max(ring_size, 1))
-        self.heartbeat_s = heartbeat_s
-        self.done = 0
-        self._last_beat = -float("inf")
-        self._last_values = self._counter_values()
-
-    def _counter_values(self) -> tuple:
-        if self.metrics is None:
-            return (0, 0, 0)
-        value = self.metrics.counter_value
-        return tuple(value(name) for name in self._COUNTER_NAMES)
-
-    def reanchor_counters(self) -> None:
-        """Re-anchor the delta baseline after a registry reset (workers
-        reset their metrics after shipping each chunk snapshot)."""
-        self._last_values = self._counter_values()
-
-    def _push(self, record: dict) -> None:
-        try:
-            self._push_fn(record)
-        except Exception:
-            pass  # advisory plane: never let a dead queue kill a campaign
-
-    def online(self) -> None:
-        self._push({
-            "kind": "heartbeat",
-            "worker": self.worker,
-            "ts": time.time(),
-            "done": 0,
-            "state": "online",
-        })
-        self._last_beat = time.monotonic()
-
-    def note(self, site, outcome, duration_s: float) -> None:
-        """One classified injection: ship its delta, maybe a heartbeat."""
-        values = self._counter_values()
-        last = self._last_values
-        self._last_values = values
-        effective, thread_hits, cta_hits = (
-            values[i] - last[i] for i in range(3)
-        )
-        self.done += 1
-        record = {
-            "kind": "injection",
-            "worker": self.worker,
-            "ts": time.time(),
-            "outcome": outcome.value,
-            "thread": site.thread,
-            "dyn_index": site.dyn_index,
-            "duration_s": duration_s,
-            "effective_instructions": int(effective),
-            "checkpoint_hits": int(thread_hits + cta_hits),
-        }
-        self.ring.append(record)
-        self._push(record)
-        now = time.monotonic()
-        if now - self._last_beat >= self.heartbeat_s:
-            self._push({
-                "kind": "heartbeat",
-                "worker": self.worker,
-                "ts": time.time(),
-                "done": self.done,
-                "state": "beat",
-            })
-            self._last_beat = now
-
-    def crash(self, site, exc: BaseException) -> None:
-        """Ship this process's ring + crash context before re-raising."""
-        self._push({
-            "kind": "crash",
-            "worker": self.worker,
-            "ts": time.time(),
-            "site": str(site) if site is not None else None,
-            "error": repr(exc),
-            "traceback": traceback_module.format_exc(),
-            "ring": list(self.ring),
-        })
-
-
 class LiveAggregator:
-    """Rolling campaign state built from streamed delta records.
+    """Rolling campaign state folded from the campaign's InjectionEvents.
 
-    Thread-safe: the parent's queue-drain thread, the serial injection
-    loop and HTTP/status-file snapshotters all go through one lock.
-    ``clock`` (wall) and ``monotonic`` are injectable for tests.
+    :func:`~repro.faults.campaign.run_campaign` attaches it to the
+    injector's :class:`~repro.telemetry.Telemetry` at :meth:`begin` and
+    detaches it at :meth:`finish` or :meth:`abort`; :meth:`fold` is the
+    listener.  Thread-safe: the campaign loop and the HTTP/status-file
+    snapshotters all go through one lock.  ``clock`` (wall) and
+    ``monotonic`` are injectable for tests.
     """
+
+    _HIT_COUNTERS = ("checkpoint.thread_hits", "checkpoint.cta_hits")
 
     def __init__(
         self,
@@ -237,25 +135,30 @@ class LiveAggregator:
         self._clock = clock
         self._monotonic = monotonic
         self._lock = threading.Lock()
+        #: The Telemetry this aggregator listens to while a campaign runs.
         self._telemetry = None
+        #: Checkpoint-hit counter total at attach time.
+        self._hits_at_begin = 0
+        #: Hits of campaigns already detached from.
+        self._hits_before = 0
         self.state = "pending"  # running | converged | done | crashed
         self.done = 0
         self.outcome_counts: dict[str, int] = {}
         self.duration_total_s = 0.0
         self.effective_instructions = 0
-        self.checkpoint_hits = 0
         self.started_at: float | None = None
         self._started_mono: float | None = None
         self.converged = False
         self.stopped_early = False
-        #: (monotonic, done, effective) samples for rolling rates.
+        #: (monotonic, done, effective) samples for rolling rates, one per
+        #: arrival instant (a pool chunk's events arrive together).
         self._window: deque[tuple[float, int, int]] = deque()
-        #: worker name -> {"done", "last_seen" (monotonic), "busy_s",
-        #: "crashed"}
+        #: worker name -> {"done", "last_seen" (monotonic), "max_gap_s",
+        #: "busy_s", "crashed"}
         self.workers: dict[str, dict] = {}
-        #: Parent-side ring of recent records (all workers interleaved).
+        #: Recent InjectionEvents, all workers interleaved.
         self.ring: deque = deque(maxlen=max(ring_size, 1))
-        #: Crash records, ring buffers included, as shipped by workers.
+        #: Crash records: the failing injection's crash context.
         self.crashes: list[dict] = []
         #: Bounded (dyn_index, duration_s) sample for live depth tertiles.
         self._reservoir: list[tuple[int, float]] = []
@@ -270,6 +173,7 @@ class LiveAggregator:
         label: str | None = None,
         telemetry=None,
     ) -> None:
+        """Start (or resume) the view; listen to ``telemetry`` if given."""
         with self._lock:
             if total is not None:
                 self.total = total
@@ -277,15 +181,38 @@ class LiveAggregator:
                 self.kernel = kernel
             if label:
                 self.label = label
-            if telemetry is not None and getattr(telemetry, "enabled", False):
-                self._telemetry = telemetry
             if self.started_at is None:
                 self.started_at = self._clock()
                 self._started_mono = self._monotonic()
             self.state = "running"
+            if telemetry is not None:
+                self._telemetry = telemetry
+                self._hits_at_begin = self._hit_counter()
+                telemetry.listener = self.fold
+
+    def _hit_counter(self) -> int:
+        value = self._telemetry.metrics.counter_value
+        return int(sum(value(name) for name in self._HIT_COUNTERS))
+
+    @property
+    def checkpoint_hits(self) -> int:
+        """Checkpoint hits of the attached campaigns, counted from begin."""
+        if self._telemetry is None:
+            return self._hits_before
+        return self._hits_before + self._hit_counter() - self._hits_at_begin
+
+    def _detach(self) -> None:
+        telemetry = self._telemetry
+        if telemetry is None:
+            return
+        self._hits_before = self.checkpoint_hits
+        if telemetry.listener == self.fold:
+            telemetry.listener = None
+        self._telemetry = None
 
     def finish(self, converged: bool = False, stopped_early: bool = False) -> None:
         with self._lock:
+            self._detach()
             self.converged = self.converged or converged
             self.stopped_early = self.stopped_early or stopped_early
             if self.state != "crashed":
@@ -296,99 +223,90 @@ class LiveAggregator:
             self.converged = True
 
     def abort(self, exc: BaseException | None = None) -> Path | None:
-        """Campaign died: flip state and flush the flight dump, if any."""
+        """Campaign died: record its crash context, flush the flight dump.
+
+        The context is what :func:`repro.parallel._inject` left on the
+        exception: worker, site, traceback and the worker's ring of
+        recent injections (``None`` on the serial path, where this
+        aggregator's own ring is that ring).
+        """
         with self._lock:
+            self._detach()
             self.state = "crashed"
+            context = getattr(exc, "crash_context", None)
+            if context is not None:
+                ring = context.get("ring")
+                if ring is None:
+                    ring = [event_to_dict(event) for event in self.ring]
+                crash = dict(
+                    context,
+                    kind="crash",
+                    ts=self._clock(),
+                    error=repr(exc),
+                    ring=ring[-self.ring_size:],
+                )
+                worker = self._worker_state(crash["worker"], self._monotonic())
+                worker["crashed"] = True
+                self.crashes.append(crash)
         if self.flight_recorder is None:
             return None
         return self.flight_recorder.dump(self, error=exc)
 
-    # ----------------------------------------------------------- records
+    # ------------------------------------------------------------ events
 
-    def record(self, record: dict) -> None:
-        """Fold one delta record in (the queue-drain/serial entry point)."""
-        kind = record.get("kind")
-        if kind == "injection":
-            self._record_injection(record)
-        elif kind == "heartbeat":
-            self._record_heartbeat(record)
-        elif kind == "crash":
-            self._record_crash(record)
-
-    def _worker_state(self, name: str) -> dict:
+    def _worker_state(self, name: str, now: float) -> dict:
         state = self.workers.get(name)
         if state is None:
+            # A worker's first gap runs from the campaign's start.
+            start = self._started_mono
             state = self.workers[name] = {
                 "done": 0,
-                "last_seen": self._monotonic(),
+                "last_seen": start if start is not None else now,
+                "max_gap_s": 0.0,
                 "busy_s": 0.0,
                 "crashed": False,
             }
         return state
 
-    def _record_injection(self, record: dict) -> None:
+    def fold(self, event) -> None:
+        """Fold one telemetry event in; only InjectionEvents count."""
+        if not isinstance(event, InjectionEvent):
+            return
         with self._lock:
+            now = self._monotonic()
             if self.started_at is None:
                 self.started_at = self._clock()
-                self._started_mono = self._monotonic()
+                self._started_mono = now
                 self.state = "running"
-            now = self._monotonic()
             self.done += 1
-            outcome = record.get("outcome", "")
+            outcome = event.outcome
             self.outcome_counts[outcome] = self.outcome_counts.get(outcome, 0) + 1
-            duration = float(record.get("duration_s", 0.0))
+            duration = event.duration_s
             self.duration_total_s += duration
-            self.effective_instructions += int(
-                record.get("effective_instructions", 0)
-            )
-            self.checkpoint_hits += int(record.get("checkpoint_hits", 0))
-            worker = self._worker_state(record.get("worker") or "serial")
-            worker["done"] += 1
+            self.effective_instructions += event.effective_instructions
+            worker = self._worker_state(event.worker or "serial", now)
+            worker["max_gap_s"] = max(worker["max_gap_s"], now - worker["last_seen"])
             worker["last_seen"] = now
+            worker["done"] += 1
             worker["busy_s"] += duration
-            self._window.append((now, self.done, self.effective_instructions))
-            while (
-                len(self._window) > 2
-                and now - self._window[0][0] > RATE_WINDOW_S
-            ):
-                self._window.popleft()
-            self.ring.append(record)
+            point = (now, self.done, self.effective_instructions)
+            window = self._window
+            if window and window[-1][0] == now:
+                window[-1] = point
+            else:
+                window.append(point)
+                while len(window) > 2 and now - window[0][0] > RATE_WINDOW_S:
+                    window.popleft()
+            self.ring.append(event)
             # Deterministic bounded reservoir for the tertile split: fill,
             # then overwrite via a multiplicative-hash slot (no RNG so
-            # resumed/replayed streams behave identically).
-            sample = (int(record.get("dyn_index", 0)), duration)
+            # replayed streams behave identically).
+            sample = (event.dyn_index, duration)
             self._seen += 1
             if len(self._reservoir) < _RESERVOIR_CAP:
                 self._reservoir.append(sample)
             else:
                 self._reservoir[(self._seen * 2654435761) % _RESERVOIR_CAP] = sample
-
-    def _record_heartbeat(self, record: dict) -> None:
-        with self._lock:
-            worker = self._worker_state(record.get("worker") or "serial")
-            worker["last_seen"] = self._monotonic()
-            worker["done"] = max(worker["done"], int(record.get("done", 0)))
-            telemetry = self._telemetry
-            effective = self.effective_instructions
-        if telemetry is not None:
-            from ..telemetry.events import HeartbeatEvent
-
-            telemetry.emit(
-                HeartbeatEvent(
-                    record.get("ts", self._clock()),
-                    worker=record.get("worker"),
-                    state=record.get("state", "beat"),
-                    done=int(record.get("done", 0)),
-                    rate=self.rolling_rate,
-                    effective_instructions=effective,
-                )
-            )
-
-    def _record_crash(self, record: dict) -> None:
-        with self._lock:
-            worker = self._worker_state(record.get("worker") or "serial")
-            worker["crashed"] = True
-            self.crashes.append(record)
 
     # ------------------------------------------------------------- state
 
@@ -417,6 +335,30 @@ class LiveAggregator:
                 return (w1 - w0) / (t1 - t0)
         elapsed = self.elapsed_s
         return self.effective_instructions / elapsed if elapsed > 0 else 0.0
+
+    @property
+    def eta_s(self) -> float | None:
+        """Seconds remaining, or None without a total or a rate.
+
+        Injections are not uniform work units (fault depth and
+        checkpoint skipping make per-injection cost drift), so the
+        estimate projects remaining *work*: the remaining injections at
+        the observed effective instructions per injection, divided by
+        the rolling effective-instruction rate.  Without effective
+        instructions it falls back to the rolling injection rate.
+        """
+        total, done = self.total, self.done
+        if total is None:
+            return None
+        effective = self.effective_instructions
+        if 0 < done < total and effective > 0:
+            work_rate = self.rolling_effective_rate
+            if work_rate > 0:
+                return effective * (total - done) / done / work_rate
+        rate = self.rolling_rate
+        if rate <= 0:
+            return None
+        return max(total - done, 0) / rate
 
     def is_converged(self) -> bool:
         if self.until_ci is None:
@@ -476,19 +418,13 @@ class LiveAggregator:
                 and width is not None
                 and width <= self.until_ci
             )
-            rate = self.rolling_rate
-            remaining = (
-                max(self.total - n, 0) if self.total is not None else None
-            )
-            eta = (
-                remaining / rate
-                if remaining is not None and rate > 0
-                else None
-            )
             worker_rows = []
             for name in sorted(self.workers):
                 state = self.workers[name]
                 idle = now_mono - state["last_seen"]
+                patience = max(
+                    self.stall_after_s, STALL_GAP_FACTOR * state["max_gap_s"]
+                )
                 worker_rows.append({
                     "worker": name,
                     "done": state["done"],
@@ -498,7 +434,7 @@ class LiveAggregator:
                     "stalled": (
                         not state["crashed"]
                         and self.state == "running"
-                        and idle > self.stall_after_s
+                        and idle > patience
                     ),
                 })
             return {
@@ -511,7 +447,7 @@ class LiveAggregator:
                 "total": self.total,
                 "pct": (100.0 * n / self.total) if self.total else None,
                 "elapsed_s": self.elapsed_s,
-                "eta_s": eta,
+                "eta_s": self.eta_s,
                 "outcomes": outcome_rows,
                 "convergence": {
                     "target": self.until_ci,
@@ -521,7 +457,7 @@ class LiveAggregator:
                     "stopped_early": self.stopped_early,
                 },
                 "throughput": {
-                    "injections_per_s": rate,
+                    "injections_per_s": self.rolling_rate,
                     "effective_instructions_per_s": self.rolling_effective_rate,
                     "effective_instructions": self.effective_instructions,
                     "checkpoint_hits": self.checkpoint_hits,
@@ -637,53 +573,39 @@ def render_live(snapshot: dict, width: int = 78) -> str:
     return "\n".join(lines) + "\n"
 
 
-class QueueDrain:
-    """Parent-side daemon thread pumping the live queue into an aggregator.
+def render_progress_line(snapshot: dict) -> str:
+    """The one-line ``--progress`` view of one status snapshot."""
+    head = snapshot.get("kernel") or ""
+    if snapshot.get("label"):
+        head = f"{head} [{snapshot['label']}]".lstrip()
+    line = f"{head}: " if head else ""
+    done = snapshot.get("done", 0)
+    total = snapshot.get("total")
+    line += f"{done:,}"
+    if total:
+        line += f"/{total:,} ({snapshot.get('pct') or 0.0:5.1f}%)"
+    throughput = snapshot.get("throughput") or {}
+    line += f" {throughput.get('injections_per_s') or 0.0:.1f} inj/s"
+    effective_rate = throughput.get("effective_instructions_per_s")
+    if effective_rate:
+        line += f" {effective_rate / 1e6:.2f} Minsn/s"
+    state = snapshot.get("state")
+    eta = snapshot.get("eta_s")
+    if state == "running":
+        if eta is not None:
+            line += f" eta {_format_duration(eta)}"
+    elif state:
+        line += f" {state}"
+    return line
 
-    The campaign parent blocks in ``handle.get()`` between chunk drains,
-    so records must be consumed off-thread for ``/status`` to stay fresh.
-    ``stop`` drains whatever the queue feeder already shipped (bounded by
-    ``settle_s``) — crash records pushed just before a worker exception
-    re-raised in the parent still make it into the flight dump.
-    """
 
-    def __init__(self, queue, aggregator: LiveAggregator, poll_s: float = 0.2):
-        self.queue = queue
-        self.aggregator = aggregator
-        self.poll_s = poll_s
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-live-drain", daemon=True
-        )
-        self._thread.start()
-
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                record = self.queue.get(timeout=self.poll_s)
-            except Empty:
-                continue
-            except (OSError, EOFError, ValueError):  # queue torn down
-                return
-            self.aggregator.record(record)
-
-    def stop(self, settle_s: float = 1.0) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=settle_s + 2.0)
-            self._thread = None
-        deadline = time.monotonic() + settle_s
-        while time.monotonic() < deadline:
-            try:
-                record = self.queue.get(timeout=0.05)
-            except Empty:
-                break
-            except (OSError, EOFError, ValueError):
-                break
-            self.aggregator.record(record)
+def _format_duration(seconds: float) -> str:
+    seconds = int(round(seconds))
+    if seconds < 60:
+        return f"{seconds}s"
+    if seconds < 3600:
+        return f"{seconds // 60}m{seconds % 60:02d}s"
+    return f"{seconds // 3600}h{(seconds % 3600) // 60:02d}m"
 
 
 class FlightRecorder:
@@ -691,8 +613,8 @@ class FlightRecorder:
 
     Attached to a :class:`LiveAggregator` (``live.flight_recorder = ...``);
     :meth:`~LiveAggregator.abort` calls :meth:`dump` when the campaign
-    raises.  The dump carries the parent's interleaved recent-record
-    ring, every crashing worker's own ring + site + traceback, the final
+    raises.  The dump carries the parent's interleaved recent-injection
+    ring, the crashing worker's own ring + site + traceback, the final
     status snapshot, and the run-manifest snapshot when one was being
     written — everything needed to diagnose the death without rerunning.
     """
@@ -725,7 +647,7 @@ class FlightRecorder:
                 else None
             ),
             "status": aggregator.snapshot(),
-            "ring": list(aggregator.ring),
+            "ring": [event_to_dict(event) for event in aggregator.ring],
             "crashes": crashes,
             "manifest": manifest_snapshot,
         }

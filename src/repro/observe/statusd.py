@@ -1,6 +1,6 @@
 """Status front-ends over a :class:`~repro.observe.live.LiveAggregator`.
 
-Three consumers of the same rolling snapshot:
+Four consumers of the same rolling snapshot:
 
 * :class:`StatusServer` — stdlib HTTP endpoint (``--live-port``) serving
   ``/status`` JSON and a minimal self-refreshing HTML page.  This is the
@@ -9,6 +9,8 @@ Three consumers of the same rolling snapshot:
 * :class:`StatusFileWriter` — periodically rewrites a JSON status file
   atomically (``--live-status``), for campaigns on machines where
   opening a port is unwanted.
+* :class:`ProgressWriter` — the ``--progress`` line on stderr, through
+  the same :class:`PeriodicWriter` loop as the status file.
 * :func:`watch` — the ``repro watch`` loop: resolve a target (status
   file, port, ``host:port`` or URL), fetch snapshots, re-render the
   dashboard until the campaign reaches a terminal state.
@@ -27,7 +29,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from ..errors import ReproError
-from .live import LiveAggregator, render_live
+from .live import LiveAggregator, render_live, render_progress_line
 
 _HTML_PAGE = """<!doctype html>
 <html>
@@ -81,7 +83,7 @@ class _StatusHandler(BaseHTTPRequestHandler):
             self._send(b"not found\n", "text/plain", code=404)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # campaign stderr belongs to the progress reporter
+        pass  # campaign stderr belongs to the progress line
 
 
 class StatusServer:
@@ -129,31 +131,28 @@ class StatusServer:
         self._server.server_close()
 
 
-class StatusFileWriter:
-    """Periodic atomic JSON snapshots of an aggregator to a file."""
+class PeriodicWriter:
+    """Writes an aggregator's snapshot every ``interval_s`` on a daemon
+    thread, and a final one on :meth:`stop` so the terminal state lands.
 
-    def __init__(
-        self,
-        aggregator: LiveAggregator,
-        path: str | Path,
-        interval_s: float = 1.0,
-    ) -> None:
+    Subclasses implement :meth:`write`; ``final`` marks the last call.
+    """
+
+    def __init__(self, aggregator: LiveAggregator, interval_s: float) -> None:
         self.aggregator = aggregator
-        self.path = Path(path)
         self.interval_s = interval_s
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
-    def write_once(self) -> None:
-        snapshot = self.aggregator.snapshot()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text(json.dumps(snapshot) + "\n")
-        os.replace(tmp, self.path)
+    def write(self, snapshot: dict, final: bool) -> None:
+        raise NotImplementedError
+
+    def write_once(self, final: bool = False) -> None:
+        self.write(self.aggregator.snapshot(), final)
 
     def start(self) -> None:
         self._thread = threading.Thread(
-            target=self._loop, name="repro-statusfile", daemon=True
+            target=self._loop, name=f"repro-{type(self).__name__}", daemon=True
         )
         self._thread.start()
 
@@ -163,17 +162,64 @@ class StatusFileWriter:
                 self.write_once()
             except OSError:
                 return
-        # Final write so the file records the terminal state.
-        try:
-            self.write_once()
-        except OSError:
-            pass
 
     def stop(self) -> None:
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        try:
+            self.write_once(final=True)
+        except OSError:
+            pass
+
+
+class StatusFileWriter(PeriodicWriter):
+    """Periodic atomic JSON snapshots of an aggregator to a file."""
+
+    def __init__(
+        self,
+        aggregator: LiveAggregator,
+        path: str | Path,
+        interval_s: float = 1.0,
+    ) -> None:
+        super().__init__(aggregator, interval_s)
+        self.path = Path(path)
+
+    def write(self, snapshot: dict, final: bool) -> None:
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
+        tmp.write_text(json.dumps(snapshot) + "\n")
+        os.replace(tmp, self.path)
+
+
+class ProgressWriter(PeriodicWriter):
+    """The ``--progress`` view: one :func:`render_progress_line` per tick.
+
+    On a terminal the line redraws in place every second; in a pipe or
+    CI log a new line is written every 5 s.  Either way :meth:`stop`
+    ends with a final, newline-terminated line.
+    """
+
+    def __init__(
+        self, aggregator: LiveAggregator, stream, interval_s: float | None = None
+    ) -> None:
+        self.stream = stream
+        self.tty = stream.isatty()
+        if interval_s is None:
+            interval_s = 1.0 if self.tty else 5.0
+        super().__init__(aggregator, interval_s)
+        self._width = 0
+
+    def write(self, snapshot: dict, final: bool) -> None:
+        line = render_progress_line(snapshot)
+        if self.tty:
+            # Pad over the previous, possibly longer, line.
+            self._width = max(self._width, len(line))
+            self.stream.write("\r" + line.ljust(self._width) + ("\n" if final else ""))
+        else:
+            self.stream.write(line + "\n")
+        self.stream.flush()
 
 
 def _file_fetcher(path: Path):

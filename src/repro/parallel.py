@@ -14,24 +14,22 @@ the serial path would use — so for a fixed seed the resulting
 :class:`~repro.faults.ResilienceProfile` is byte-identical to a serial
 run, and worker ``fallback_count`` deltas sum to the serial total.
 
-Telemetry: when the parent campaign is instrumented, each worker records
-into a private in-memory :class:`~repro.telemetry.Telemetry`; the deltas
+Telemetry: the chunk result is the only channel from worker to parent.
+When the parent campaign is instrumented, each worker records into a
+private in-memory :class:`~repro.telemetry.Telemetry`; the deltas
 (events, counters, histograms, spans) ship back with each chunk and are
 absorbed into the parent handle (counters add, gauges last-write-win,
-histogram/span stats combine).
+histogram/span stats combine).  A live
+:class:`~repro.observe.live.LiveAggregator` listens to the parent's
+handle, so it folds each chunk's ``InjectionEvent`` records as the
+parent absorbs them: in order, once per drained chunk.  When an
+injection raises, :func:`_inject` leaves the crash context (worker,
+site, traceback, the chunk's unshipped events) on the exception, which
+rides the same result path back.
 
 Degradation: ``workers <= 1``, an unpicklable kernel instance, or a
 platform without usable process pools all fall back to the serial
 in-process path — same results, no pool.
-
-Live streaming: when the campaign runs with a
-:class:`~repro.observe.live.LiveAggregator`, each worker additionally
-pushes compact per-injection delta records (outcome, duration,
-effective instructions, checkpoint hits) plus periodic heartbeats over
-a multiprocessing queue as injections complete — the
-parent's drain thread folds them into rolling state *while* chunks are
-still in flight.  The stream is advisory and rides outside the in-order
-outcome path, so live-on campaigns stay byte-identical to live-off.
 
 See ``docs/performance.md`` for measured scaling and chunk-size guidance.
 """
@@ -41,10 +39,17 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import time
+import traceback
 from collections import deque
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .telemetry import NULL_TELEMETRY, MemorySink, NullSink, Telemetry, event_to_dict
+from .telemetry import (
+    NULL_TELEMETRY,
+    InjectionEvent,
+    MemorySink,
+    Telemetry,
+    event_to_dict,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> parallel)
     from .faults.injector import FaultInjector
@@ -63,34 +68,36 @@ DEFAULT_CHUNK_SIZE = 32
 DEFAULT_ORDER_BATCH = 64
 
 
-def _inject_noted(injector, site, note=None, crash=None):
-    """One injection, optionally reporting to a live channel.
+def _inject(injector, site, worker: str = "serial"):
+    """One injection; a failure carries its crash context to the parent.
 
-    ``note(site, outcome, duration_s)`` fires after classification;
-    ``crash(site, exc)`` fires (then re-raises) when the injection dies,
-    so the live plane's flight recorder sees the failing site + this
-    process's recent-event ring before the exception crosses back to the
-    parent.
+    Sets ``exc.crash_context = {worker, site, traceback, ring}`` before
+    re-raising.  ``ring`` is a pool worker's unshipped ``InjectionEvent``
+    dicts (its chunk so far); ``None`` on the serial path, whose recent
+    injections the live aggregator already holds.  Attributes pickle with
+    the exception, so the context survives ``Pool.apply_async``.
     """
-    if note is None and crash is None:
-        return injector.inject(site)
-    t0 = time.perf_counter()
     try:
-        outcome = injector.inject(site)
+        return injector.inject(site)
     except BaseException as exc:
-        if crash is not None:
-            crash(site, exc)
+        ring = None
+        if worker != "serial":
+            ring = [
+                event_to_dict(event)
+                for event in getattr(injector.telemetry.sink, "events", ())
+                if isinstance(event, InjectionEvent)
+            ]
+        exc.crash_context = {
+            "worker": worker,
+            "site": str(site),
+            "traceback": traceback.format_exc(),
+            "ring": ring,
+        }
         raise
-    if note is not None:
-        note(site, outcome, time.perf_counter() - t0)
-    return outcome
 
 
 def _ordered_outcomes(
-    injector: "FaultInjector",
-    sites: list["FaultSite"],
-    note=None,
-    crash=None,
+    injector: "FaultInjector", sites: list["FaultSite"], worker: str = "serial"
 ) -> list["Outcome"]:
     """Classify ``sites`` sorted by ``(thread, dyn_index)``; return them
     in original order.
@@ -99,16 +106,14 @@ def _ordered_outcomes(
     resumes from snapshots its shallower predecessors just stored), and is
     outcome-safe: injections share no mutable state beyond the checkpoint
     store, which holds only golden snapshots, so per-site outcomes are
-    independent of execution order.  Live ``note`` callbacks fire in
-    *execution* (sorted) order — the live plane is advisory, while the
-    returned list preserves input order for the deterministic drain.
+    independent of execution order.
     """
     order = sorted(
         range(len(sites)), key=lambda i: (sites[i].thread, sites[i].dyn_index)
     )
     outcomes: list = [None] * len(sites)
     for i in order:
-        outcomes[i] = _inject_noted(injector, sites[i], note, crash)
+        outcomes[i] = _inject(injector, sites[i], worker)
     return outcomes
 
 
@@ -135,25 +140,7 @@ class SerialExecutor:
         injector: "FaultInjector",
         pairs: Iterable[tuple["FaultSite", float]],
         telemetry: Telemetry | None = None,
-        live=None,
     ) -> Iterator[tuple["FaultSite", float, "Outcome"]]:
-        note = crash = None
-        if live is not None:
-            from .observe.live import LiveChannel
-
-            injector_telemetry = injector.telemetry
-            channel = LiveChannel(
-                live.record,
-                "serial",
-                metrics=(
-                    injector_telemetry.metrics
-                    if injector_telemetry.enabled
-                    else None
-                ),
-                ring_size=live.ring_size,
-            )
-            channel.online()
-            note, crash = channel.note, channel.crash
         batch = self.order_batch
         if batch is None:
             batch = (
@@ -163,22 +150,20 @@ class SerialExecutor:
             )
         if batch <= 1:
             for site, weight in pairs:
-                yield site, weight, _inject_noted(injector, site, note, crash)
+                yield site, weight, _inject(injector, site)
             return
         window: list[tuple] = []
         for pair in pairs:
             window.append(pair)
             if len(window) >= batch:
-                yield from self._drain(injector, window, note, crash)
+                yield from self._drain(injector, window)
                 window = []
         if window:
-            yield from self._drain(injector, window, note, crash)
+            yield from self._drain(injector, window)
 
     @staticmethod
-    def _drain(injector, window, note=None, crash=None):
-        outcomes = _ordered_outcomes(
-            injector, [site for site, _w in window], note, crash
-        )
+    def _drain(injector, window):
+        outcomes = _ordered_outcomes(injector, [site for site, _w in window])
         for (site, weight), outcome in zip(window, outcomes):
             yield site, weight, outcome
 
@@ -190,15 +175,6 @@ class SerialExecutor:
 # once per worker process, and every task reads the same globals.
 
 _WORKER_INJECTOR: "FaultInjector | None" = None
-_WORKER_TELEMETRY: Telemetry = NULL_TELEMETRY
-#: LiveChannel pushing this worker's per-injection deltas; None when the
-#: campaign runs without the live plane.
-_WORKER_LIVE = None
-#: Whether chunk results carry full telemetry snapshots back to the
-#: parent.  True only for *instrumented* campaigns (MemorySink); a
-#: live-only worker keeps an enabled NullSink telemetry — counters exist
-#: for delta reads but there are no events to ship.
-_WORKER_SHIP_SNAPSHOTS = False
 
 
 def _build_payload(injector: "FaultInjector") -> dict | None:
@@ -245,15 +221,13 @@ def _build_payload(injector: "FaultInjector") -> dict | None:
     return payload
 
 
-def _init_worker(payload: dict, live_queue=None) -> None:
+def _init_worker(payload: dict) -> None:
     """Pool initializer: build this worker's injector once.
 
-    ``live_queue`` (a context-matched ``multiprocessing.Queue``) arrives
-    via ``initargs`` — queues may cross process boundaries during pool
-    setup, just not inside task arguments — and turns on this worker's
-    live delta stream.
+    The worker records into a private in-memory telemetry exactly when
+    the parent's is enabled; each chunk ships and resets it.
     """
-    global _WORKER_INJECTOR, _WORKER_TELEMETRY, _WORKER_LIVE, _WORKER_SHIP_SNAPSHOTS
+    global _WORKER_INJECTOR
     from .faults.injector import FaultInjector
 
     if "kernel" in payload:
@@ -262,21 +236,14 @@ def _init_worker(payload: dict, live_queue=None) -> None:
         instance = load_instance(payload["kernel"])
     else:
         instance = pickle.loads(payload["instance"])
-    if payload["instrumented"]:
-        telemetry = Telemetry(sink=MemorySink())
-    elif payload.get("live"):
-        # Enabled-but-discarding: per-injection counters (effective
-        # instructions, checkpoint hits) accumulate for the live
-        # channel's delta reads, events are never built up.
-        telemetry = Telemetry(sink=NullSink())
-    else:
-        telemetry = NULL_TELEMETRY
     golden = pickle.loads(payload["golden"]) if "golden" in payload else None
     _WORKER_INJECTOR = FaultInjector(
         instance,
         hang_factor=payload["hang_factor"],
         verify_golden=False,  # the parent already verified this instance
-        telemetry=telemetry,
+        telemetry=(
+            Telemetry(sink=MemorySink()) if payload["instrumented"] else NULL_TELEMETRY
+        ),
         thread_slicing=payload["thread_slicing"],
         checkpoint_interval=payload["checkpoint_interval"],
         checkpoint_budget_mb=payload["checkpoint_budget_mb"],
@@ -284,24 +251,6 @@ def _init_worker(payload: dict, live_queue=None) -> None:
         golden=golden,
         propagation=payload["propagation"],
     )
-    _WORKER_TELEMETRY = telemetry
-    _WORKER_SHIP_SNAPSHOTS = bool(payload["instrumented"])
-    if live_queue is not None:
-        from .observe.live import DEFAULT_RING_SIZE, LiveChannel
-
-        channel = LiveChannel(
-            live_queue.put,
-            multiprocessing.current_process().name,
-            metrics=telemetry.metrics if telemetry.enabled else None,
-            ring_size=payload.get("ring", DEFAULT_RING_SIZE),
-        )
-        # Injector construction may have bumped counters (golden rebuild);
-        # re-anchor so the first injection's delta is its own.
-        channel.reanchor_counters()
-        channel.online()
-        _WORKER_LIVE = channel
-    else:
-        _WORKER_LIVE = None
 
 
 def _run_chunk(
@@ -310,10 +259,8 @@ def _run_chunk(
     """Classify one chunk; ship outcome values + telemetry/fallback deltas."""
     injector = _WORKER_INJECTOR
     assert injector is not None, "worker initializer did not run"
-    telemetry = _WORKER_TELEMETRY
-    live = _WORKER_LIVE
-    note = live.note if live is not None else None
-    crash = live.crash if live is not None else None
+    telemetry = injector.telemetry
+    name = multiprocessing.current_process().name
     if telemetry.enabled and submitted_at is not None:
         # Wall-clock spent queued between parent submit and worker pickup:
         # the chunk-granularity face of the ``queue_wait`` phase.
@@ -326,33 +273,27 @@ def _run_chunk(
         # Execute the chunk in (thread, dyn_index) order for checkpoint
         # locality; the returned outcome list stays in input order, so the
         # parent's in-order drain (and therefore the profile) is unchanged.
-        outcomes = [o.value for o in _ordered_outcomes(injector, sites, note, crash)]
+        outcomes = [o.value for o in _ordered_outcomes(injector, sites, name)]
     else:
-        outcomes = [
-            _inject_noted(injector, site, note, crash).value for site in sites
-        ]
+        outcomes = [_inject(injector, site, name).value for site in sites]
     fallback_delta = injector.fallback_count - fallbacks_before
     snapshot = None
     if telemetry.enabled:
-        name = multiprocessing.current_process().name
         telemetry.count(f"parallel.worker.{name}.busy_s",
                         time.perf_counter() - busy_t0)
         telemetry.count(f"parallel.worker.{name}.chunks")
         telemetry.count(f"parallel.worker.{name}.injections", len(sites))
-        if _WORKER_SHIP_SNAPSHOTS:
-            sink = telemetry.sink
-            snapshot = {
-                "events": [event_to_dict(e) for e in sink.events],
-                "metrics": telemetry.metrics.snapshot(),
-                "spans": telemetry.spans.snapshot(),
-                "worker": name,
-            }
-            # Reset so the next chunk ships deltas, not cumulative state.
-            sink.events.clear()
-            telemetry.metrics.__init__()
-            telemetry.spans.__init__()
-            if live is not None:
-                live.reanchor_counters()
+        sink = telemetry.sink
+        snapshot = {
+            "events": [event_to_dict(e) for e in sink.events],
+            "metrics": telemetry.metrics.snapshot(),
+            "spans": telemetry.spans.snapshot(),
+            "worker": name,
+        }
+        # Reset so the next chunk ships deltas, not cumulative state.
+        sink.events.clear()
+        telemetry.metrics.__init__()
+        telemetry.spans.__init__()
     return outcomes, fallback_delta, snapshot
 
 
@@ -400,60 +341,34 @@ class ParallelCampaignRunner:
         injector: "FaultInjector",
         pairs: Iterable[tuple["FaultSite", float]],
         telemetry: Telemetry | None = None,
-        live=None,
     ) -> Iterator[tuple["FaultSite", float, "Outcome"]]:
-        """Yield ``(site, weight, outcome)`` in exact input order.
-
-        ``live`` (a :class:`~repro.observe.live.LiveAggregator`) turns on
-        the worker delta stream: a context-matched queue rides into each
-        worker via the pool initializer and a parent-side drain thread
-        folds records into the aggregator while chunks are in flight.
-        """
+        """Yield ``(site, weight, outcome)`` in exact input order."""
         telemetry = telemetry if telemetry is not None else injector.telemetry
         if self.workers <= 1:
-            yield from SerialExecutor().imap(injector, pairs, telemetry, live=live)
+            yield from SerialExecutor().imap(injector, pairs, telemetry)
             return
         payload = _build_payload(injector)
         if payload is None:
             if telemetry.enabled:
                 telemetry.count("parallel.serial_fallback")
-            yield from SerialExecutor().imap(injector, pairs, telemetry, live=live)
+            yield from SerialExecutor().imap(injector, pairs, telemetry)
             return
-        ctx = self._context()
-        live_queue = None
-        if live is not None:
-            payload["live"] = True
-            payload["ring"] = live.ring_size
-            live_queue = ctx.Queue()
-        initargs = (payload,) if live_queue is None else (payload, live_queue)
         try:
-            pool = ctx.Pool(
+            pool = self._context().Pool(
                 processes=self.workers,
                 initializer=_init_worker,
-                initargs=initargs,
+                initargs=(payload,),
             )
         except (OSError, ValueError):  # pragma: no cover - pool-less platforms
             if telemetry.enabled:
                 telemetry.count("parallel.serial_fallback")
-            yield from SerialExecutor().imap(injector, pairs, telemetry, live=live)
+            yield from SerialExecutor().imap(injector, pairs, telemetry)
             return
-        drain = None
-        if live is not None:
-            from .observe.live import QueueDrain
-
-            drain = QueueDrain(live_queue, live)
-            drain.start()
         if telemetry.enabled:
             telemetry.set_gauge("parallel.workers", self.workers)
         try:
             yield from self._drive(pool, injector, pairs, telemetry)
         finally:
-            # Drain before terminate: records the feeder already shipped
-            # (including crash rings pushed just before a worker exception
-            # re-raised here) must land in the aggregator, and terminating
-            # the pool can tear the queue down mid-get.
-            if drain is not None:
-                drain.stop()
             pool.terminate()
             pool.join()
 

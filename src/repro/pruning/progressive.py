@@ -70,7 +70,6 @@ class PrunedSpace:
     def estimate_profile(
         self,
         injector: FaultInjector,
-        telemetry: Telemetry | None = None,
         executor=None,
         progress=None,
         live=None,
@@ -78,10 +77,10 @@ class PrunedSpace:
     ) -> ResilienceProfile:
         """Exhaustively inject the pruned space and extrapolate.
 
-        ``telemetry``/``progress`` flow into the underlying campaign, so
-        every weighted injection is observable like any other run;
-        ``executor`` fans the weighted injections over worker processes
-        (see :mod:`repro.parallel`) without changing the profile;
+        Every weighted injection records into the injector's telemetry
+        and fires ``progress``, like any other campaign; ``executor``
+        fans the weighted injections over worker processes (see
+        :mod:`repro.parallel`) without changing the profile;
         ``live``/``until_ci`` attach the streaming plane and convergence
         signal.  The enumeration is weighted-exhaustive, so convergence
         is *reported* but never stops the campaign early.
@@ -90,7 +89,6 @@ class PrunedSpace:
             injector,
             (ws.site for ws in self.sites),
             weights=(ws.weight for ws in self.sites),
-            telemetry=telemetry,
             executor=executor,
             progress=progress,
             total=len(self.sites),

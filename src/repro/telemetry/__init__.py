@@ -14,9 +14,10 @@ Hot call sites follow the pattern::
     if telemetry.enabled:
         telemetry.emit(InjectionEvent(...))   # events built only when live
 
-Progress reporting (:mod:`~repro.telemetry.progress`) and run manifests
-(:mod:`~repro.telemetry.manifest`) ride alongside; see
-``docs/observability.md`` for schemas and conventions.
+Run manifests (:mod:`~repro.telemetry.manifest`) ride alongside; the
+live plane (:mod:`repro.observe.live`) folds the same events by
+attaching a listener.  See ``docs/observability.md`` for schemas and
+conventions.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .progress import ProgressReporter
 from .timing import SpanStats, SpanTimer
 
 
@@ -114,6 +114,9 @@ class Telemetry:
         #: injector opens a fresh dict around each injection; while it is
         #: None (outside any injection) phase spans are no-ops.
         self.phases: dict[str, float] | None = None
+        #: ``listener(event)`` sees every emitted event after the sink,
+        #: absorbed worker events included; the live plane attaches here.
+        self.listener = None
 
     @classmethod
     def to_jsonl(cls, path, flush_each: bool = False) -> "Telemetry":
@@ -122,6 +125,8 @@ class Telemetry:
 
     def emit(self, event: TelemetryEvent) -> None:
         self.sink.emit(event)
+        if self.listener is not None:
+            self.listener(event)
 
     def span(self, name: str):
         return self.spans.span(name)
@@ -246,7 +251,6 @@ __all__ = [
     "MetricsRegistry",
     "NullSink",
     "NullTelemetry",
-    "ProgressReporter",
     "RunManifest",
     "SimRunEvent",
     "SpanStats",

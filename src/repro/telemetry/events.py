@@ -37,8 +37,8 @@ from ..errors import ReproError
 #: v4 added ``effective_instructions``/``spliced_instructions`` on
 #: :class:`InjectionEvent` and the ``resync_scan``/``suffix_splice``
 #: phases (convergence-bounded injection with golden-suffix splicing).
-#: v5 added :class:`HeartbeatEvent` — worker liveness records emitted by
-#: the live streaming plane (``repro.observe.live``).
+#: v5 added :class:`HeartbeatEvent` — worker liveness records the live
+#: streaming plane (``repro.observe.live``) once emitted.
 EVENTS_SCHEMA_VERSION = 5
 
 #: Per-injection phase names, in pipeline order.  ``InjectionEvent.phases``
@@ -123,12 +123,11 @@ class StageEvent(TelemetryEvent):
 class HeartbeatEvent(TelemetryEvent):
     """Worker liveness beacon from the live streaming plane (schema v5).
 
-    Recorded when a campaign runs with the live plane enabled and an
-    event log attached: one record per worker heartbeat, carrying the
-    worker's completed-injection count and the campaign-wide rolling
-    rate/effective-instruction totals at that instant.  Post-hoc these
-    reconstruct the campaign's throughput timeline without sampling the
-    (much larger) injection stream.
+    Read, no longer written: the live plane now folds
+    :class:`InjectionEvent` records directly.  Schema-v5 logs carrying
+    heartbeats (one per worker beat: the worker's completed-injection
+    count plus the campaign-wide rolling rate and effective-instruction
+    total) still load.
     """
 
     worker: str | None = None  # pool worker name; None/"serial" when serial

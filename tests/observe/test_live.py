@@ -3,14 +3,15 @@
 The standing invariant under test: the live plane is *advisory* — a
 campaign with streaming telemetry attached (serial or pooled, any
 backend) produces a byte-identical outcome profile to one without.  On
-top of that, the units: delta-record construction, rolling aggregation,
-convergence, flight-recorder dumps, the HTTP/status-file front-ends and
-the ``repro watch`` loop.
+top of that, the units: folding injection events, rolling aggregation,
+convergence, crash context and flight-recorder dumps, the
+HTTP/status-file front-ends and the ``repro watch`` loop.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import urllib.error
 import urllib.request
@@ -26,7 +27,6 @@ from repro.observe.live import (
     LIVE_STATUS_VERSION,
     FlightRecorder,
     LiveAggregator,
-    LiveChannel,
     check_convergence,
     load_flight_dump,
     max_half_width,
@@ -34,7 +34,13 @@ from repro.observe.live import (
 )
 from repro.observe.statusd import StatusFileWriter, StatusServer, watch
 from repro.parallel import ParallelCampaignRunner
-from repro.telemetry import MemorySink, Telemetry
+from repro.telemetry import (
+    NULL_TELEMETRY,
+    InjectionEvent,
+    MemorySink,
+    NullSink,
+    Telemetry,
+)
 
 START_METHOD = os.environ.get("REPRO_TEST_START_METHOD") or None
 
@@ -59,28 +65,33 @@ class FakeClock:
         self.now += seconds
 
 
-def injection_record(
-    worker: str = "w1",
+def injection_event(
+    worker: str | None = "w1",
     outcome: str = "masked",
     dyn_index: int = 5,
     duration_s: float = 0.01,
-    **extra,
-) -> dict:
-    record = {
-        "kind": "injection",
-        "worker": worker,
-        "ts": 0.0,
-        "outcome": outcome,
-        "thread": 0,
-        "dyn_index": dyn_index,
-        "duration_s": duration_s,
-        "effective_instructions": 100,
-        "spliced_instructions": 0,
-        "checkpoint_hits": 0,
-        "resync_hits": 0,
+    effective_instructions: int = 100,
+) -> InjectionEvent:
+    return InjectionEvent(
+        0.0,
+        thread=0,
+        dyn_index=dyn_index,
+        bit=0,
+        model="iov",
+        outcome=outcome,
+        fast_path=True,
+        duration_s=duration_s,
+        effective_instructions=effective_instructions,
+        worker=worker,
+    )
+
+
+def crashed(worker: str, site: str, error: Exception, ring=None) -> Exception:
+    """``error`` as the shared injection helper re-raises it."""
+    error.crash_context = {
+        "worker": worker, "site": site, "traceback": "tb", "ring": ring,
     }
-    record.update(extra)
-    return record
+    return error
 
 
 class TestConvergenceMath:
@@ -104,87 +115,6 @@ class TestConvergenceMath:
         assert max_half_width(counts, 48) == max_half_width(dict(counts), 48)
 
 
-class TestLiveChannel:
-    def test_note_ships_counter_deltas(self):
-        telemetry = Telemetry(sink=MemorySink())
-        pushed: list[dict] = []
-        channel = LiveChannel(pushed.append, "w1", metrics=telemetry.metrics)
-        telemetry.count("work.effective_instructions", 120)
-        site = FaultSite(thread=3, dyn_index=9, bit=1)
-
-        class Outcome:
-            value = "sdc"
-
-        channel.note(site, Outcome(), duration_s=0.5)
-        telemetry.count("work.effective_instructions", 30)
-        telemetry.count("checkpoint.thread_hits", 7)
-        channel.note(site, Outcome(), duration_s=0.25)
-
-        injections = [r for r in pushed if r["kind"] == "injection"]
-        assert [r["effective_instructions"] for r in injections] == [120, 30]
-        assert [r["checkpoint_hits"] for r in injections] == [0, 7]
-        assert injections[0]["thread"] == 3
-        assert injections[0]["dyn_index"] == 9
-
-    def test_reanchor_counters_after_registry_reset(self):
-        telemetry = Telemetry(sink=MemorySink())
-        pushed: list[dict] = []
-        channel = LiveChannel(pushed.append, "w1", metrics=telemetry.metrics)
-        telemetry.count("work.effective_instructions", 50)
-        telemetry.metrics.__init__()  # the worker chunk-reset idiom
-        channel.reanchor_counters()
-        telemetry.count("work.effective_instructions", 10)
-        site = FaultSite(thread=0, dyn_index=0, bit=0)
-
-        class Outcome:
-            value = "masked"
-
-        channel.note(site, Outcome(), duration_s=0.1)
-        injections = [r for r in pushed if r["kind"] == "injection"]
-        assert injections[-1]["effective_instructions"] == 10
-
-    def test_ring_is_bounded(self):
-        channel = LiveChannel(lambda record: None, "w1", ring_size=4)
-        site = FaultSite(thread=0, dyn_index=0, bit=0)
-
-        class Outcome:
-            value = "masked"
-
-        for _ in range(10):
-            channel.note(site, Outcome(), duration_s=0.0)
-        assert len(channel.ring) == 4
-
-    def test_broken_push_never_raises(self):
-        def explode(record):
-            raise OSError("queue torn down")
-
-        channel = LiveChannel(explode, "w1")
-        channel.online()
-        site = FaultSite(thread=0, dyn_index=0, bit=0)
-
-        class Outcome:
-            value = "masked"
-
-        channel.note(site, Outcome(), duration_s=0.0)
-        channel.crash(site, ValueError("boom"))
-
-    def test_crash_ships_ring_and_traceback(self):
-        pushed: list[dict] = []
-        channel = LiveChannel(pushed.append, "w2", ring_size=8)
-        site = FaultSite(thread=1, dyn_index=2, bit=3)
-
-        class Outcome:
-            value = "crash"
-
-        channel.note(site, Outcome(), duration_s=0.0)
-        channel.crash(site, ValueError("boom"))
-        crash = pushed[-1]
-        assert crash["kind"] == "crash"
-        assert crash["worker"] == "w2"
-        assert "boom" in crash["error"]
-        assert len(crash["ring"]) == 1
-
-
 class TestLiveAggregator:
     def make(self, **kwargs):
         clock = FakeClock(1000.0)
@@ -199,7 +129,7 @@ class TestLiveAggregator:
         aggregator.begin()
         for outcome in ("masked", "masked", "sdc", "crash"):
             mono.advance(1.0)
-            aggregator.record(injection_record(outcome=outcome))
+            aggregator.fold(injection_event(outcome=outcome))
         snap = aggregator.snapshot()
         assert snap["version"] == LIVE_STATUS_VERSION
         assert snap["done"] == 4
@@ -215,7 +145,7 @@ class TestLiveAggregator:
         aggregator.begin()
         for _ in range(5):
             mono.advance(2.0)
-            aggregator.record(injection_record())
+            aggregator.fold(injection_event())
         assert aggregator.rolling_rate == pytest.approx(0.5)
         assert aggregator.rolling_effective_rate == pytest.approx(50.0)
 
@@ -224,40 +154,62 @@ class TestLiveAggregator:
         aggregator.begin()
         for _ in range(10):
             mono.advance(1.0)
-            aggregator.record(injection_record())
+            aggregator.fold(injection_event())
         snap = aggregator.snapshot()
         assert snap["eta_s"] == pytest.approx(90.0, rel=0.2)
 
     def test_worker_liveness_and_stall(self):
         aggregator, _, mono = self.make(stall_after_s=5.0)
         aggregator.begin()
-        aggregator.record(injection_record(worker="a"))
-        aggregator.record(injection_record(worker="b"))
+        aggregator.fold(injection_event(worker="a"))
+        aggregator.fold(injection_event(worker="b"))
         mono.advance(10.0)
-        aggregator.record(injection_record(worker="b"))
+        aggregator.fold(injection_event(worker="b"))
         rows = {row["worker"]: row for row in aggregator.snapshot()["workers"]}
         assert rows["a"]["stalled"]
         assert not rows["b"]["stalled"]
         assert rows["b"]["done"] == 2
 
-    def test_heartbeat_refreshes_liveness_without_counting(self):
-        aggregator, _, mono = self.make(stall_after_s=5.0)
+    def test_slow_chunks_are_not_stalls(self):
+        # A pool worker reports once per chunk; one whose chunks take 30 s
+        # is judged against 3x its own gap, not the 10 s floor.
+        aggregator, _, mono = self.make()
         aggregator.begin()
-        aggregator.record(injection_record(worker="a"))
-        mono.advance(10.0)
-        aggregator.record(
-            {"kind": "heartbeat", "worker": "a", "ts": 0.0, "done": 1,
-             "state": "beat"}
-        )
-        rows = aggregator.snapshot()["workers"]
-        assert not rows[0]["stalled"]
-        assert aggregator.done == 1
+        for _ in range(2):
+            mono.advance(30.0)
+            for _ in range(4):
+                aggregator.fold(injection_event(worker="slow"))
+        mono.advance(20.0)
+        (row,) = aggregator.snapshot()["workers"]
+        assert not row["stalled"]
+        mono.advance(71.0)  # 91 s silent > 3 x 30 s
+        (row,) = aggregator.snapshot()["workers"]
+        assert row["stalled"]
+
+    def test_ring_is_bounded(self):
+        aggregator, _, _ = self.make(ring_size=4)
+        aggregator.begin()
+        for depth in range(10):
+            aggregator.fold(injection_event(dyn_index=depth))
+        assert [event.dyn_index for event in aggregator.ring] == [6, 7, 8, 9]
+
+    def test_checkpoint_hits_counted_from_begin(self):
+        telemetry = Telemetry(sink=NullSink())
+        telemetry.count("checkpoint.thread_hits", 5)  # an earlier campaign
+        aggregator, _, _ = self.make()
+        aggregator.begin(telemetry=telemetry)
+        telemetry.count("checkpoint.thread_hits", 2)
+        telemetry.count("checkpoint.cta_hits", 3)
+        assert aggregator.snapshot()["throughput"]["checkpoint_hits"] == 5
+        aggregator.finish()
+        telemetry.count("checkpoint.cta_hits", 7)  # after detach: not counted
+        assert aggregator.snapshot()["throughput"]["checkpoint_hits"] == 5
 
     def test_convergence_signal_in_snapshot(self):
         aggregator, _, _ = self.make(until_ci=0.2)
         aggregator.begin()
         for _ in range(200):
-            aggregator.record(injection_record(outcome="masked"))
+            aggregator.fold(injection_event(outcome="masked"))
         conv = aggregator.snapshot()["convergence"]
         assert conv["target"] == 0.2
         assert conv["converged"]
@@ -266,11 +218,7 @@ class TestLiveAggregator:
     def test_crash_record_flips_worker_and_state(self):
         aggregator, _, _ = self.make()
         aggregator.begin()
-        aggregator.record(
-            {"kind": "crash", "worker": "a", "ts": 0.0, "site": "t0/i0/b0",
-             "error": "ValueError('x')", "traceback": "tb", "ring": []}
-        )
-        aggregator.abort(ValueError("x"))
+        aggregator.abort(crashed("a", "t0/i0/b0", ValueError("x"), ring=[]))
         snap = aggregator.snapshot()
         assert snap["state"] == "crashed"
         assert snap["crashes"][0]["worker"] == "a"
@@ -289,26 +237,12 @@ class TestLiveAggregator:
         aggregator, _, _ = self.make()
         aggregator.begin()
         for depth in range(30):
-            aggregator.record(
-                injection_record(dyn_index=depth, duration_s=depth / 1000.0)
+            aggregator.fold(
+                injection_event(dyn_index=depth, duration_s=depth / 1000.0)
             )
         rows = {row["tertile"]: row for row in aggregator.snapshot()["tertiles"]}
         assert set(rows) == {"shallow", "middle", "deep"}
         assert rows["deep"]["mean_s"] > rows["shallow"]["mean_s"]
-
-    def test_heartbeat_emits_event_into_telemetry(self):
-        sink = MemorySink()
-        telemetry = Telemetry(sink=sink)
-        aggregator, _, _ = self.make()
-        aggregator.begin(telemetry=telemetry)
-        aggregator.record(
-            {"kind": "heartbeat", "worker": "w1", "ts": 7.0, "done": 3,
-             "state": "beat"}
-        )
-        beats = [e for e in sink.events if type(e).__name__ == "HeartbeatEvent"]
-        assert len(beats) == 1
-        assert beats[0].worker == "w1"
-        assert beats[0].done == 3
 
 
 class TestRenderLive:
@@ -316,7 +250,7 @@ class TestRenderLive:
         aggregator = LiveAggregator(total=10, kernel="demo.k1", until_ci=0.3)
         aggregator.begin(label="random")
         for outcome in ("masked", "sdc", "crash", "masked"):
-            aggregator.record(injection_record(outcome=outcome))
+            aggregator.fold(injection_event(outcome=outcome))
         text = render_live(aggregator.snapshot())
         assert "demo.k1" in text
         assert "state: running" in text
@@ -328,10 +262,7 @@ class TestRenderLive:
     def test_crash_rendered(self):
         aggregator = LiveAggregator()
         aggregator.begin()
-        aggregator.record(
-            {"kind": "crash", "worker": "w9", "ts": 0.0, "site": "t1/i2/b3",
-             "error": "ValueError('dead')", "traceback": "", "ring": []}
-        )
+        aggregator.abort(crashed("w9", "t1/i2/b3", ValueError("dead"), ring=[]))
         assert "worker crash: w9" in render_live(aggregator.snapshot())
 
 
@@ -347,7 +278,11 @@ class TestAdvisoryEquivalence:
 
     @pytest.mark.parametrize("backend", ["interpreter", "compiled", "vectorized"])
     def test_serial_profiles_identical(self, conv2d_serial, backend):
-        injector = FaultInjector(load_instance("2dconv.k1"), backend=backend)
+        injector = FaultInjector(
+            load_instance("2dconv.k1"),
+            backend=backend,
+            telemetry=Telemetry(sink=NullSink()),
+        )
         live = LiveAggregator()
         result = random_campaign(injector, N_SITES, rng=SEED, live=live)
         assert result.outcomes == conv2d_serial.outcomes
@@ -356,7 +291,9 @@ class TestAdvisoryEquivalence:
         assert "serial" in live.workers
 
     def test_pool_profiles_identical(self, conv2d_serial):
-        injector = FaultInjector(load_instance("2dconv.k1"))
+        injector = FaultInjector(
+            load_instance("2dconv.k1"), telemetry=Telemetry(sink=NullSink())
+        )
         live = LiveAggregator()
         result = random_campaign(
             injector, N_SITES, rng=SEED, executor=make_runner(2), live=live
@@ -378,6 +315,28 @@ class TestAdvisoryEquivalence:
         assert live.effective_instructions == counters[
             "work.effective_instructions"
         ]
+
+    def test_pool_totals_match_parent_counters(self):
+        telemetry = Telemetry(sink=MemorySink())
+        injector = FaultInjector(load_instance("pathfinder.k1"), telemetry=telemetry)
+        live = LiveAggregator()
+        random_campaign(
+            injector, N_SITES, rng=SEED, executor=make_runner(2), live=live
+        )
+        counters = telemetry.metrics.snapshot()["counters"]
+        assert live.done == counters["injections.total"] == N_SITES
+        assert live.outcome_counts == {
+            name.removeprefix("outcome."): count
+            for name, count in counters.items()
+            if name.startswith("outcome.")
+        }
+        assert live.effective_instructions == counters["work.effective_instructions"]
+        assert sum(row["done"] for row in live.snapshot()["workers"]) == N_SITES
+        assert set(live.workers) <= {
+            name.split(".")[2] for name in counters
+            if name.startswith("parallel.worker.")
+        }
+
 
     def test_convergence_verdict_matches_across_executors(self):
         serial = random_campaign(
@@ -417,10 +376,31 @@ class TestAdvisoryEquivalence:
         assert flagged.n_runs == 200
 
 
+class TestAttachment:
+    def test_live_needs_enabled_telemetry(self):
+        injector = FaultInjector(load_instance("2dconv.k1"))
+        assert injector.telemetry is NULL_TELEMETRY
+        with pytest.raises(ValueError, match="enabled Telemetry"):
+            random_campaign(injector, 4, rng=SEED, live=LiveAggregator())
+
+    def test_detached_after_campaign(self):
+        telemetry = Telemetry(sink=NullSink())
+        injector = FaultInjector(load_instance("2dconv.k1"), telemetry=telemetry)
+        live = LiveAggregator()
+        result = random_campaign(injector, 6, rng=SEED, live=live)
+        assert telemetry.listener is None
+        # A later injection (e.g. the coherence audit) is not campaign work.
+        injector.inject(result.sites[0])
+        assert live.done == 6
+        assert live.snapshot()["state"] == "done"
+
+
 class TestFlightRecorder:
     def crash_campaign(self, tmp_path, executor=None):
         dump_path = tmp_path / "flight.json"
-        injector = FaultInjector(load_instance("2dconv.k1"))
+        injector = FaultInjector(
+            load_instance("2dconv.k1"), telemetry=Telemetry(sink=NullSink())
+        )
         live = LiveAggregator()
         live.flight_recorder = FlightRecorder(dump_path)
         good = injector.space.sample(6, np.random.default_rng(3))
@@ -453,6 +433,22 @@ class TestFlightRecorder:
             ("ForkPoolWorker", "SpawnPoolWorker", "ForkServerPoolWorker")
         )
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_pool_crash_under_fork_carries_chunk_ring(self, tmp_path):
+        runner = ParallelCampaignRunner(2, chunk_size=8, start_method="fork")
+        dump_path, _ = self.crash_campaign(tmp_path, executor=runner)
+        (crash,) = load_flight_dump(dump_path)["crashes"]
+        assert crash["worker"].startswith("ForkPoolWorker")
+        assert crash["site"] == "t1000000/i0/b0"
+        assert "FaultInjectionError" in crash["traceback"]
+        # The chunk's six good sites ran before the bogus one (it sorts
+        # last), so the worker's unshipped events form the ring.
+        assert len(crash["ring"]) == 6
+        assert {record["event"] for record in crash["ring"]} == {"injection"}
+
     def test_load_rejects_non_dumps(self, tmp_path):
         path = tmp_path / "not-a-dump.json"
         path.write_text('{"kind": "something-else"}')
@@ -471,7 +467,7 @@ class TestStatusServer:
     def serve(self):
         aggregator = LiveAggregator(total=4, kernel="demo.k1")
         aggregator.begin()
-        aggregator.record(injection_record(outcome="masked"))
+        aggregator.fold(injection_event(outcome="masked"))
         server = StatusServer(aggregator, port=0)
         server.start()
         return aggregator, server
@@ -520,7 +516,7 @@ class TestStatusFileAndWatch:
         aggregator.begin()
         writer = StatusFileWriter(aggregator, path, interval_s=60.0)
         writer.start()
-        aggregator.record(injection_record())
+        aggregator.fold(injection_event())
         aggregator.finish()
         writer.stop()
         snap = json.loads(path.read_text())
@@ -531,7 +527,7 @@ class TestStatusFileAndWatch:
         path = tmp_path / "status.json"
         aggregator = LiveAggregator(kernel="demo.k1")
         aggregator.begin()
-        aggregator.record(injection_record())
+        aggregator.fold(injection_event())
         aggregator.finish()
         path.write_text(json.dumps(aggregator.snapshot()))
         assert watch(str(path), once=True) == 0

@@ -122,9 +122,12 @@ from repro.errors import FaultInjectionError
 from repro.faults.site import FaultSite
 from repro.observe.live import FlightRecorder, LiveAggregator
 from repro.parallel import ParallelCampaignRunner
+from repro.telemetry import NullSink, Telemetry
 
 dump_path, start_method = sys.argv[1], sys.argv[2]
-injector = FaultInjector(load_instance("pathfinder.k1"))
+injector = FaultInjector(
+    load_instance("pathfinder.k1"), telemetry=Telemetry(sink=NullSink())
+)
 live = LiveAggregator()
 live.flight_recorder = FlightRecorder(dump_path)
 sites = injector.space.sample(8, np.random.default_rng(1))

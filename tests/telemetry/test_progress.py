@@ -1,10 +1,14 @@
-"""Progress reporter: callbacks, rate/ETA math, stream rendering."""
+"""Progress reporting: the aggregator's rate/ETA engine and the
+``--progress`` line writer over its snapshot."""
 
 import io
+import time
 
 import pytest
 
-from repro.telemetry import ProgressReporter
+from repro.observe.live import LiveAggregator, render_progress_line
+from repro.observe.statusd import ProgressWriter
+from repro.telemetry import InjectionEvent
 
 
 class FakeClock:
@@ -18,136 +22,161 @@ class FakeClock:
         return self.now
 
 
-class TestCallbacks:
-    def test_callback_fires_once_per_update(self):
-        seen = []
-        reporter = ProgressReporter(total=10, callback=lambda r: seen.append(r.done))
-        for _ in range(10):
-            reporter.update()
-        assert seen == list(range(1, 11))
+class TtyStream(io.StringIO):
+    def isatty(self) -> bool:
+        return True
 
-    def test_callable_interface_sets_absolute_position(self):
-        reporter = ProgressReporter()
-        reporter(3, 30)
-        assert reporter.done == 3
-        assert reporter.total == 30
-        reporter(4)
-        assert reporter.done == 4
-        assert reporter.total == 30
+
+def injection(effective: int = 100) -> InjectionEvent:
+    return InjectionEvent(
+        0.0, thread=0, dyn_index=0, bit=0, model="iov", outcome="masked",
+        fast_path=True, duration_s=0.0, effective_instructions=effective,
+    )
+
+
+def make(total=None, clock=None, kernel="", label=""):
+    clock = clock if clock is not None else FakeClock()
+    aggregator = LiveAggregator(
+        total=total, kernel=kernel, label=label, clock=clock, monotonic=clock
+    )
+    aggregator.begin()
+    return aggregator, clock
+
+
+def fold(aggregator, n: int, effective: int = 100) -> None:
+    for _ in range(n):
+        aggregator.fold(injection(effective))
 
 
 class TestRateAndEta:
     def test_rate_and_eta_from_clock(self):
-        clock = FakeClock()
-        reporter = ProgressReporter(total=100, clock=clock)
-        reporter.start()
+        aggregator, clock = make(total=100)
         clock.advance(10.0)
-        reporter(20)
-        assert reporter.rate == 2.0
-        assert reporter.eta_s == 40.0
+        fold(aggregator, 20)
+        assert aggregator.rolling_rate == 2.0
+        assert aggregator.eta_s == 40.0
 
     def test_eta_none_without_total_or_rate(self):
-        reporter = ProgressReporter()
-        assert reporter.eta_s is None
-        clock = FakeClock()
-        untimed = ProgressReporter(total=5, clock=clock)
+        aggregator, _ = make()
+        fold(aggregator, 3)
+        assert aggregator.eta_s is None
+        untimed, _ = make(total=5)
         assert untimed.eta_s is None  # no progress yet -> rate 0
 
     def test_eta_clamps_at_zero_when_overshooting(self):
-        clock = FakeClock()
-        reporter = ProgressReporter(total=10, clock=clock)
-        reporter.start()
+        aggregator, clock = make(total=10)
         clock.advance(1.0)
-        reporter(15)
-        assert reporter.eta_s == 0.0
+        fold(aggregator, 15)
+        assert aggregator.eta_s == 0.0
+
+    def test_work_projected_eta_follows_falling_cost(self):
+        aggregator, clock = make(total=100)
+        for _ in range(10):  # 1 s per injection of 1,000 instructions
+            clock.advance(1.0)
+            fold(aggregator, 1, effective=1000)
+        assert aggregator.eta_s == pytest.approx(10_000 * 90 / 10 / 1000)
+        for _ in range(20):  # same throughput, a tenth of the work each
+            clock.advance(0.1)
+            fold(aggregator, 1, effective=100)
+        # Remaining work at the observed 400 instructions per injection,
+        # over the rolling 1,000 instructions/s.
+        assert aggregator.rolling_effective_rate == pytest.approx(1000.0)
+        assert aggregator.eta_s == pytest.approx(12_000 * 70 / 30 / 1000)
+
+    def test_count_eta_without_effective_instructions(self):
+        aggregator, clock = make(total=100)
+        clock.advance(10.0)
+        fold(aggregator, 20, effective=0)
+        assert aggregator.eta_s == 40.0
 
 
 class TestRendering:
     def test_stream_gets_throttled_updates_and_final_line(self):
-        clock = FakeClock()
+        aggregator, _ = make(total=4, kernel="k", label="inj")
         stream = io.StringIO()
-        reporter = ProgressReporter(
-            total=4, label="inj", stream=stream, min_interval_s=100.0, clock=clock
-        )
-        reporter.update()  # first render (interval satisfied at t=0)
-        reporter.update()  # throttled
-        reporter.update()  # throttled
-        reporter.update()  # final: done == total always renders
-        reporter.close()
+        writer = ProgressWriter(aggregator, stream)
+        fold(aggregator, 3)  # folds never write: only ticks do
+        fold(aggregator, 1)
+        aggregator.finish()
+        writer.stop()
         text = stream.getvalue()
-        assert "inj: 4/4 (100.0%)" in text
-        assert text.endswith("\n")
-        # Throttle: the 2/4 and 3/4 lines must have been suppressed.
+        assert text.startswith("k [inj]: 4/4 (100.0%)")
+        assert text.endswith(" done\n")
         assert "2/4" not in text
         assert "3/4" not in text
 
     def test_render_line_without_total(self):
-        reporter = ProgressReporter()
-        reporter.update(7)
-        assert reporter.render_line().startswith("7")
+        aggregator, _ = make()
+        fold(aggregator, 7)
+        assert render_progress_line(aggregator.snapshot()).startswith("7")
 
-    def test_context_manager_closes_stream(self):
-        stream = io.StringIO()
-        with ProgressReporter(total=1, stream=stream) as reporter:
-            reporter.update()
-        assert stream.getvalue().endswith("\n")
+    def test_tty_redraws_in_place(self):
+        aggregator, _ = make(total=10, label="camp")
+        stream = TtyStream()
+        writer = ProgressWriter(aggregator, stream)
+        assert writer.interval_s == 1.0
+        writer.write_once()
+        fold(aggregator, 5)
+        writer.write_once()
+        assert "\n" not in stream.getvalue()
+        writer.stop()
+        text = stream.getvalue()
+        assert text.count("\r") == 3
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert "5/10 ( 50.0%)" in text.split("\r")[-1]
 
 
 class TestHeartbeat:
-    def make(self, clock, stream, heartbeat_s=5.0, total=100):
-        return ProgressReporter(
-            total=total, label="camp", stream=stream, clock=clock,
-            heartbeat_s=heartbeat_s,
-        )
-
     def test_heartbeats_are_periodic_newline_lines(self):
-        clock, stream = FakeClock(), io.StringIO()
-        reporter = self.make(clock, stream)
-        for _ in range(20):
-            clock.advance(1.0)
-            reporter.update()
+        aggregator, _ = make(total=100, label="camp")
+        fold(aggregator, 3)
+        stream = io.StringIO()
+        assert ProgressWriter(aggregator, stream).interval_s == 5.0
+        writer = ProgressWriter(aggregator, stream, interval_s=0.01)
+        writer.start()
+        deadline = time.monotonic() + 10.0
+        while stream.getvalue().count("\n") < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        writer.stop()
         lines = stream.getvalue().splitlines()
-        # t=1 (first advance), then every >=5s: t=6, t=11, t=16.
-        assert reporter.heartbeats_emitted == 4
-        assert len(lines) == 4
-        assert all(line.startswith("camp: heartbeat ") for line in lines)
+        assert len(lines) >= 4  # at least three ticks plus the final line
+        assert all(line.startswith("[camp]: 3/100 (  3.0%)") for line in lines)
         assert "\r" not in stream.getvalue()
 
     def test_rolling_rate_tracks_recent_speed(self):
-        clock = FakeClock()
-        reporter = ProgressReporter(total=1000, clock=clock, heartbeat_s=5.0)
-        reporter.start()
+        aggregator, clock = make(total=1000)
         # 100 units in the first 10s, then a slowdown to 1 unit/s.
         clock.advance(10.0)
-        reporter(100)
-        for done in range(101, 112):
+        fold(aggregator, 100)
+        for _ in range(11):
             clock.advance(1.0)
-            reporter(done)
+            fold(aggregator, 1)
         # Cumulative rate still remembers the fast start...
-        assert reporter.rate > 5.0
+        assert aggregator.done / aggregator.elapsed_s > 5.0
         # ...the rolling window reports the current pace.
-        assert reporter.rolling_rate == pytest.approx(1.0, rel=0.3)
-        assert reporter.eta_s == pytest.approx(
-            (1000 - reporter.done) / reporter.rolling_rate
+        assert aggregator.rolling_rate == pytest.approx(1.0, rel=0.3)
+        assert aggregator.eta_s == pytest.approx(
+            (1000 - aggregator.done) / aggregator.rolling_rate
         )
 
     def test_close_always_flushes_final_heartbeat(self):
-        clock, stream = FakeClock(), io.StringIO()
-        reporter = self.make(clock, stream, heartbeat_s=60.0, total=3)
-        clock.advance(0.5)
-        reporter.update(3)  # first advance emits immediately
-        reporter.close()  # short campaign: closing emits the 3/3 line
+        aggregator, _ = make(total=3, label="camp")
+        stream = io.StringIO()
+        writer = ProgressWriter(aggregator, stream, interval_s=60.0)
+        writer.start()
+        fold(aggregator, 3)
+        aggregator.finish()
+        writer.stop()  # short campaign: stopping writes the 3/3 line
         lines = stream.getvalue().splitlines()
-        assert reporter.heartbeats_emitted == 2
-        assert lines[-1].startswith("camp: heartbeat 3/3")
+        assert lines == ["[camp]: 3/3 (100.0%) 0.0 inj/s done"]
 
     def test_intermediate_updates_between_beats_are_silent(self):
-        clock, stream = FakeClock(), io.StringIO()
-        reporter = self.make(clock, stream)
-        clock.advance(1.0)
-        reporter.update()  # beat
-        for _ in range(3):
-            clock.advance(0.5)
-            reporter.update()  # within the 5s period: silent
-        assert reporter.heartbeats_emitted == 1
-        assert reporter.done == 4
+        aggregator, _ = make(total=100, label="camp")
+        stream = io.StringIO()
+        writer = ProgressWriter(aggregator, stream, interval_s=60.0)
+        writer.start()
+        fold(aggregator, 4)  # within the period: silent
+        assert stream.getvalue() == ""
+        writer.stop()
+        assert aggregator.done == 4
+        assert stream.getvalue().count("\n") == 1
