@@ -64,7 +64,6 @@ def run_campaign(
     total: int | None = None,
     keep_sites: bool = True,
     label: str = "explicit",
-    order_batch: int | None = None,
     live=None,
     until_ci: float | None = None,
     early_stop: bool = False,
@@ -77,16 +76,10 @@ def run_campaign(
         weights: optional per-site weights, zipped strictly against sites.
         executor: a :class:`~repro.parallel.ParallelCampaignRunner` (or
             anything with its ``imap`` signature) to fan injections over
-            worker processes; ``None`` injects serially in-process.
-            Outcomes stream back in site order either way, so the profile
-            is identical for identical seeds.
-        order_batch: serial checkpoint-locality window (see
-            :class:`~repro.parallel.SerialExecutor`): sites are *executed*
-            sorted by ``(thread, dyn_index)`` within windows of this size
-            but *aggregated* in input order, so the profile is unchanged.
-            ``None`` auto-enables when the injector checkpoints; ``0``
-            forces pure streaming.  Ignored when ``executor`` is given
-            (workers order within their own chunks instead).
+            worker processes; ``None`` injects serially in-process
+            (:class:`~repro.parallel.SerialExecutor`).  Outcomes stream
+            back in site order either way, so the profile is identical
+            for identical seeds.
         progress: ``callable(done, total)``, invoked after every
             injection.
         total: planned site count for progress/ETA when ``sites`` has no
@@ -141,7 +134,7 @@ def run_campaign(
     if executor is None:
         from ..parallel import SerialExecutor
 
-        executor = SerialExecutor(order_batch=order_batch)
+        executor = SerialExecutor()
     if live is not None:
         spec = getattr(injector.instance, "spec", None)
         live.begin(
@@ -159,7 +152,7 @@ def run_campaign(
     converged = False
     stopped_early = False
     done = 0
-    stream = executor.imap(injector, pairs, telemetry)
+    stream = executor.imap(injector, pairs)
     try:
         with telemetry.span(f"campaign.{label}"):
             for site, weight, outcome in stream:

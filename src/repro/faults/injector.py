@@ -135,7 +135,6 @@ class FaultInjector:
         telemetry: Telemetry | None = None,
         thread_slicing: bool = True,
         checkpoint_interval: int | str = "auto",
-        checkpoint_budget_mb: float = DEFAULT_BUDGET_MB,
         backend: str = "auto",
         golden: GoldenState | None = None,
         propagation: bool = False,
@@ -161,7 +160,6 @@ class FaultInjector:
         #: restore skipped (counted into its event's effective iCnt).
         self._skipped = 0
         self._launcher = GPUSimulator(telemetry=self.telemetry, backend=self.backend)
-        self.checkpoint_budget_mb = checkpoint_budget_mb
         # Thread slicing is sound only for CTAs whose threads provably do
         # not communicate; the static half of that proof is "no shared
         # memory instructions at all".
@@ -207,7 +205,7 @@ class FaultInjector:
         else:
             self.checkpoint_interval = max(0, int(checkpoint_interval))
         self.checkpoints: CheckpointStore | None = (
-            CheckpointStore(int(checkpoint_budget_mb * (1 << 20)))
+            CheckpointStore(int(DEFAULT_BUDGET_MB * (1 << 20)))
             if self.checkpoint_interval > 0
             else None
         )
@@ -564,10 +562,14 @@ class FaultInjector:
         The capture sink fires at barrier releases; it keeps the snapshot
         cadence on the injected thread's ``checkpoint_interval`` grid and
         only captures while that thread's injection is still pending —
-        once the flip fires the CTA state is no longer golden.
+        once the flip fires the CTA state is no longer golden.  Vectorized
+        CTA slices take no plan: no workload that runs them hits a CTA
+        snapshot (``docs/performance.md``).
         """
         store = self.checkpoints
-        if store is None:
+        if store is None or self.backend == "vectorized":
+            # Nothing is skipped, whatever a demoted thread slice resumed.
+            self._skipped = 0
             return [], None
         slot = thread % self.instance.geometry.threads_per_cta
         resume = store.best_cta(cta, slot, spec.dyn_index)

@@ -14,7 +14,8 @@ Two snapshot granularities match the injector's two slicing rungs:
   instructions during a thread-sliced run (sliceable CTAs only).
 * :class:`CTACheckpoint` — every thread of a CTA plus the shared-memory
   scratchpad, captured at barrier-release boundaries during a CTA-sliced
-  run (the only points where a run-to-barrier schedule is resumable).
+  run (the only points where a run-to-barrier schedule is resumable) on
+  the classic backends; vectorized CTAs run without.
 
 Neither snapshot copies the heap.  Instead it records how many entries of
 the run's global **write log** had been issued at capture time; the golden
@@ -41,8 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (thread -> checkpoint
     from .thread import ThreadContext
     from .tracing import TraceTable
 
-#: Default per-process snapshot-memory budget in MiB
-#: (``FaultInjector(checkpoint_budget_mb=)``).
+#: Per-process snapshot-memory budget in MiB of every injector's
+#: :class:`CheckpointStore`.
 DEFAULT_BUDGET_MB = 64.0
 
 #: Kernels whose deep tertile is shallower than this skip checkpointing:
@@ -152,12 +153,6 @@ class CTACheckpoint:
         write_count: int,
     ) -> "CTACheckpoint":
         from .thread import ThreadState
-
-        # Vector-backend lane views snapshot whole register-file planes in
-        # a few array copies instead of materialising per-lane dicts.
-        native = getattr(threads, "capture_native", None)
-        if native is not None:
-            return native(barrier_rounds, shared, write_count)
 
         regs = tuple(dict(t.regs.values) for t in threads)
         shared_data = shared.snapshot_bytes() if shared is not None else None

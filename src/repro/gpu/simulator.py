@@ -11,14 +11,17 @@ on:
 * **sliced runs** (``only_cta=`` / ``only_thread=``) that re-execute a
   single CTA — or a single thread of a communication-free CTA — against a
   heap snapshot: the injector's fast paths;
-* **injected runs** that flip one destination-register bit in one dynamic
-  instruction of one thread.
+* **injected runs** that arm one :class:`~repro.gpu.injection.InjectionSpec`
+  fault on one thread.
+
+Every backend runs the one :meth:`GPUSimulator.launch` loop.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,10 +29,12 @@ from ..errors import FaultInjectionError, HangDetected, MemoryFault, SimulatorEr
 from ..telemetry import NULL_TELEMETRY, SimRunEvent, Telemetry
 from .checkpoint import CheckpointPlan, CTACheckpoint, ThreadCheckpoint
 from .cta import run_cta
+from .injection import InjectionSpec
 from .memory import GlobalMemory, ParamMemory, SharedMemory
 from .program import Program
 from .thread import ThreadContext
 from .tracing import TraceTable, read_log_arrays
+from .vector import VectorFallback, _VectorCTARunner
 
 #: Generous per-thread budget for golden runs; catches authoring bugs only.
 DEFAULT_MAX_STEPS = 1_000_000
@@ -154,8 +159,9 @@ class GPUSimulator:
         self.backend = backend
         # Per-(program, params, geometry, cta, slot) reuse caches for the
         # sliced fast paths: read-only specials dicts, pooled
-        # ThreadContexts and shared scratchpads.  Values pin the program
-        # object so an id() collision can never alias.
+        # ThreadContexts, vector CTA runners and shared scratchpads.
+        # Values pin the program object so an id() collision can never
+        # alias.
         self._specials_cache: dict = {}
         self._context_pool: dict = {}
         self._shared_pool: dict = {}
@@ -185,6 +191,130 @@ class GPUSimulator:
             self._shared_pool.clear()
         self._shared_pool[key] = (program, shared)
         return shared
+
+    def _contexts(
+        self,
+        program: Program,
+        geometry: LaunchGeometry,
+        param_mem: ParamMemory,
+        heap: GlobalMemory,
+        shared: SharedMemory | None,
+        cta: int,
+        slots,
+        armed_slot: int | None,
+        spec: InjectionSpec | None,
+        *,
+        pooled: bool,
+        max_steps: int,
+        record_trace: bool,
+        compiled,
+    ) -> list[ThreadContext]:
+        """Thread contexts for ``slots`` of ``cta``, ``spec`` armed on
+        ``armed_slot``: re-armed from the pool on sliced runs, built fresh
+        on full-grid ones."""
+        contexts = []
+        for slot in slots:
+            injection = spec if slot == armed_slot else None
+            if pooled:
+                key = (id(program), param_mem.raw, geometry, cta, slot)
+                specials = self._cached_specials(geometry, cta, slot)
+                entry = self._context_pool.get(key)
+                if entry is not None and entry[0] is program:
+                    ctx = entry[1]
+                    ctx.reset(
+                        specials, heap, shared, param_mem,
+                        max_steps=max_steps, record_trace=record_trace,
+                        injection=injection, compiled=compiled,
+                    )
+                    contexts.append(ctx)
+                    continue
+            else:
+                specials = geometry.specials_for(cta, slot)
+            ctx = ThreadContext(
+                program, specials, heap, shared, param_mem,
+                max_steps=max_steps, record_trace=record_trace,
+                injection=injection, compiled=compiled,
+            )
+            if pooled:
+                if len(self._context_pool) >= _POOL_LIMIT:
+                    self._context_pool.clear()
+                self._context_pool[key] = (program, ctx)
+            contexts.append(ctx)
+        return contexts
+
+    def _vector_runner(
+        self,
+        program: Program,
+        geometry: LaunchGeometry,
+        param_mem: ParamMemory,
+        cta: int,
+        pooled: bool,
+    ) -> _VectorCTARunner:
+        """The lockstep runner of ``cta``: pooled on sliced runs."""
+        if pooled:
+            key = (id(program), param_mem.raw, geometry, cta)
+            entry = self._vector_pool.get(key)
+            if entry is not None and entry[0] is program:
+                return entry[1]
+        tpc = geometry.threads_per_cta
+        specials = [
+            self._cached_specials(geometry, cta, slot)
+            if pooled
+            else geometry.specials_for(cta, slot)
+            for slot in range(tpc)
+        ]
+        runner = _VectorCTARunner(program.vectorized(param_mem), tpc, specials)
+        if pooled:
+            if len(self._vector_pool) >= _POOL_LIMIT:
+                self._vector_pool.clear()
+            self._vector_pool[key] = (program, runner)
+        return runner
+
+    def _wire_checkpoint(
+        self,
+        checkpoint: CheckpointPlan | None,
+        threads: list[ThreadContext],
+        shared: SharedMemory | None,
+        thread_sliced: bool,
+    ):
+        """Restore a classic slice from ``checkpoint.resume`` and wire its
+        capture sink; returns ``(barrier_hook, rounds_start, skipped)``."""
+        if checkpoint is None:
+            return None, 0, 0
+        resume = checkpoint.resume
+        if thread_sliced:
+            skipped = 0
+            if resume is not None:
+                if not isinstance(resume, ThreadCheckpoint):
+                    raise SimulatorError(
+                        "thread-sliced runs resume from ThreadCheckpoint"
+                    )
+                restore_t0 = time.perf_counter()
+                threads[0].resume_from(resume)
+                self._note_restore(time.perf_counter() - restore_t0)
+                skipped = resume.dyn_index
+            if checkpoint.sink is not None and checkpoint.interval > 0:
+                threads[0].plan_checkpoints(
+                    checkpoint.interval, checkpoint.limit, checkpoint.sink
+                )
+            return None, 0, skipped
+        rounds_start = skipped = 0
+        if resume is not None:
+            if not isinstance(resume, CTACheckpoint):
+                raise SimulatorError("CTA-sliced runs resume from CTACheckpoint")
+            restore_t0 = time.perf_counter()
+            resume.restore(threads, shared)
+            self._note_restore(time.perf_counter() - restore_t0)
+            rounds_start = resume.barrier_rounds
+            skipped = resume.instructions
+        hook = None
+        sink = checkpoint.sink
+        if sink is not None:
+
+            def hook(rounds, cta_threads):
+                sink(rounds, cta_threads, shared)
+
+        return hook, rounds_start, skipped
 
     def _note_restore(self, seconds: float) -> None:
         """Attribute in-launch snapshot-restore time to its own phase.
@@ -231,12 +361,22 @@ class GPUSimulator:
         record_thread_write_logs: bool = False,
         only_cta: int | None = None,
         only_thread: int | None = None,
-        injection: tuple | None = None,
+        injection: tuple[int, InjectionSpec] | None = None,
         max_steps: int = DEFAULT_MAX_STEPS,
         checkpoint: CheckpointPlan | None = None,
         step_trace: tuple | None = None,
     ) -> LaunchResult:
         """Run ``program`` over ``geometry``.
+
+        Every backend runs this one loop; CTAs differ only in how they
+        execute.  A classic CTA (interpreter, compiled) runs its thread
+        contexts through :func:`~repro.gpu.cta.run_cta`.  A vectorized CTA
+        runs a pooled lockstep runner (:mod:`~repro.gpu.vector`) with the
+        injected thread demoted to a compiled context; when lockstep
+        execution cannot prove classic-identical results the runner raises
+        :class:`~repro.gpu.vector.VectorFallback`, and the launch rolls the
+        heap and the caller's logs back to their entry state and reruns on
+        the compiled path.
 
         Args:
             param_bytes: packed kernel-parameter block.
@@ -249,16 +389,18 @@ class GPUSimulator:
             only_thread: execute just this global thread — valid only for
                 kernels whose CTA threads provably do not communicate;
                 the caller (the injector) is responsible for that proof.
-            injection: either the legacy ``(global_thread_id, dyn_index,
-                bit)`` destination-value flip, or ``(global_thread_id,
-                InjectionSpec)`` for the extended fault models.
+                Thread slices run on the compiled path on the vectorized
+                backend.
+            injection: ``(global_thread_id, InjectionSpec)`` — the one
+                fault the launch arms.
             max_steps: per-thread dynamic-instruction budget; exceeded →
                 :class:`~repro.errors.HangDetected` propagates to the caller.
             checkpoint: a :class:`~repro.gpu.checkpoint.CheckpointPlan` for
                 sliced runs — restore golden state before executing and/or
                 capture snapshots along the golden prefix.  The caller owns
                 the heap contract: a resumed run's heap must already hold
-                the golden write prefix up to the snapshot.
+                the golden write prefix up to the snapshot.  Vectorized
+                CTA slices take no plan.
             step_trace: ``(global_thread_id, sink)`` — observe that one
                 thread at *every* dynamic instruction via the existing
                 checkpoint-sink plumbing (``sink(dyn, pc, regs)`` fires at
@@ -272,29 +414,16 @@ class GPUSimulator:
                 f"{program.name}: expected {program.param_bytes} param bytes, "
                 f"got {len(param_bytes)}"
             )
-        heap = memory if memory is not None else self.memory
-        param_mem = ParamMemory(param_bytes)
-        compiled_program = (
-            program.compiled(param_mem) if self.backend == "compiled" else None
-        )
-        injection_thread = None
-        injection_spec = None
-        if injection is not None:
-            if len(injection) == 3:
-                injection_thread = injection[0]
-                injection_spec = (injection[1], injection[2])
-            else:
-                injection_thread, injection_spec = injection
         tpc = geometry.threads_per_cta
         if only_thread is not None:
             if only_cta is not None:
                 raise SimulatorError("only_cta and only_thread are exclusive")
             if not 0 <= only_thread < geometry.n_threads:
                 raise SimulatorError(f"thread {only_thread} outside grid")
-            only_slot = only_thread % tpc
+            slots: tuple[int, ...] | range = (only_thread % tpc,)
             ctas: tuple[int, ...] | range = (geometry.cta_of_thread(only_thread),)
         else:
-            only_slot = None
+            slots = range(tpc)
             ctas = range(geometry.n_ctas) if only_cta is None else (only_cta,)
         if only_cta is not None and not 0 <= only_cta < geometry.n_ctas:
             raise SimulatorError(f"CTA {only_cta} outside grid")
@@ -305,251 +434,219 @@ class GPUSimulator:
                 raise SimulatorError("step_trace and checkpoint plans are exclusive")
             if not 0 <= step_trace[0] < geometry.n_threads:
                 raise SimulatorError(f"step_trace thread {step_trace[0]} outside grid")
-
-        if self.backend == "vectorized":
-            # Thread-sliced and step-traced runs need per-instruction
-            # observation of a single thread; they stay on the compiled
-            # path, which is already exact for them.
-            if only_thread is None and step_trace is None:
-                from .vector import VectorFallback, launch_vectorized
-
-                try:
-                    return launch_vectorized(
-                        self,
-                        program,
-                        geometry,
-                        param_mem,
-                        heap,
-                        record_traces=record_traces,
-                        record_write_logs=record_write_logs,
-                        record_read_logs=record_read_logs,
-                        record_thread_write_logs=record_thread_write_logs,
-                        only_cta=only_cta,
-                        injection_thread=injection_thread,
-                        injection_spec=injection_spec,
-                        max_steps=max_steps,
-                        checkpoint=checkpoint,
-                    )
-                except VectorFallback:
-                    if self.telemetry.enabled:
-                        self.telemetry.count("vector.fallbacks")
-            compiled_program = program.compiled(param_mem)
-
-        # Threads append one tuple per traced step and GlobalMemory.load
-        # one per logged load; each CTA's lists become arrays as soon as
-        # it finishes, so only one CTA's tuples are alive at a time.
-        cta_tables: list[TraceTable] = []
-        write_logs: list[list[tuple[int, bytes]]] | None = (
-            [[] for _ in range(geometry.n_ctas)] if record_write_logs else None
+        # Thread-sliced and step-traced runs observe a single thread per
+        # instruction; they stay on the compiled path, which is exact for
+        # them.
+        vector = (
+            self.backend == "vectorized" and only_thread is None and step_trace is None
         )
-        read_logs: list[tuple[np.ndarray, np.ndarray]] | None = (
-            [read_log_arrays([])] * geometry.n_ctas if record_read_logs else None
-        )
-        thread_write_logs: list[list[tuple[int, bytes]]] | None = (
-            [[] for _ in range(geometry.n_threads)]
-            if record_thread_write_logs and record_write_logs
-            else None
-        )
-        injection_applied = False
-        telemetry = self.telemetry
-        t0 = time.perf_counter() if telemetry.enabled else 0.0
-        instructions = 0
-        barrier_rounds = 0
-        total_skipped = 0
-        hang = memory_fault = False
+        if vector and checkpoint is not None:
+            raise SimulatorError("vectorized CTA launches take no checkpoint plan")
+        armed_cta = armed_slot = spec = None
+        if injection is not None:
+            injection_thread, spec = injection
+            if not 0 <= injection_thread < geometry.n_threads:
+                raise FaultInjectionError("injection thread outside the grid")
+            if only_thread is None or injection_thread == only_thread:
+                armed_cta, armed_slot = divmod(injection_thread, tpc)
 
+        heap = memory if memory is not None else self.memory
+        param_mem = ParamMemory(param_bytes)
+        compiled = (
+            program.compiled(param_mem) if self.backend != "interpreter" else None
+        )
         # Sliced runs (the per-injection hot path) reuse pooled contexts,
-        # shared scratchpads and specials dicts; full-grid runs (golden
-        # capture) build them fresh.  Every thread shares the program's
-        # compiled blocks.
-        use_pool = only_cta is not None or only_thread is not None
-        param_key = param_mem.raw
-        try:
-            for cta in ctas:
-                if not program.shared_bytes:
-                    shared = None
-                elif use_pool:
-                    shared = self._pooled_shared(program, cta)
-                else:
-                    shared = SharedMemory(program.shared_bytes)
-                slots = range(tpc) if only_slot is None else (only_slot,)
-                threads = []
-                for slot in slots:
-                    thread_id = cta * tpc + slot
-                    thread_injection = None
-                    if injection_thread == thread_id:
-                        thread_injection = injection_spec
-                    if use_pool:
-                        key = (id(program), param_key, geometry, cta, slot)
-                        specials = self._cached_specials(geometry, cta, slot)
-                        entry = self._context_pool.get(key)
-                        if entry is not None and entry[0] is program:
-                            ctx = entry[1]
-                            ctx.reset(
-                                specials,
-                                heap,
-                                shared,
-                                param_mem,
-                                max_steps=max_steps,
-                                record_trace=record_traces,
-                                injection=thread_injection,
-                                compiled=compiled_program,
-                            )
-                            threads.append(ctx)
-                            continue
+        # runners, shared scratchpads and specials dicts; full-grid runs
+        # (golden capture) build them fresh.
+        pooled = only_cta is not None or only_thread is not None
+        caller_write_log = heap.write_log
+        caller_read_log = heap.read_log
+        if vector:
+            # The launch-entry state a VectorFallback rolls back to.
+            span_lo, span_hi = heap.allocation_span()
+            launch_image = bytes(heap._data[span_lo:span_hi])
+            caller_wlen = len(caller_write_log) if caller_write_log is not None else 0
+            caller_rlen = len(caller_read_log) if caller_read_log is not None else 0
+        telemetry = self.telemetry
+        while True:
+            t0 = time.perf_counter() if telemetry.enabled else 0.0
+            # Threads append one tuple per traced step and GlobalMemory.load
+            # one per logged load; each CTA's lists become arrays as soon as
+            # it finishes, so only one CTA's tuples are alive at a time.
+            cta_tables: list[TraceTable] = []
+            write_logs: list[list[tuple[int, bytes]]] | None = (
+                [[] for _ in range(geometry.n_ctas)] if record_write_logs else None
+            )
+            read_logs: list[tuple[np.ndarray, np.ndarray]] | None = (
+                [read_log_arrays([])] * geometry.n_ctas if record_read_logs else None
+            )
+            thread_write_logs: list[list[tuple[int, bytes]]] | None = (
+                [[] for _ in range(geometry.n_threads)]
+                if record_thread_write_logs and record_write_logs
+                else None
+            )
+            injection_applied = False
+            instructions = barrier_rounds = total_skipped = 0
+            hang = memory_fault = fell_back = False
+            try:
+                for cta in ctas:
+                    if not program.shared_bytes:
+                        shared = None
+                    elif pooled:
+                        shared = self._pooled_shared(program, cta)
                     else:
-                        specials = geometry.specials_for(cta, slot)
-                    ctx = ThreadContext(
-                        program,
-                        specials,
-                        heap,
-                        shared,
-                        param_mem,
-                        max_steps=max_steps,
-                        record_trace=record_traces,
-                        injection=thread_injection,
-                        compiled=compiled_program,
+                        shared = SharedMemory(program.shared_bytes)
+                    write_target = (
+                        write_logs[cta] if write_logs is not None else caller_write_log
                     )
-                    if use_pool:
-                        if len(self._context_pool) >= _POOL_LIMIT:
-                            self._context_pool.clear()
-                        self._context_pool[key] = (program, ctx)
-                    threads.append(ctx)
-                if step_trace is not None:
-                    for slot, ctx in zip(slots, threads):
-                        if cta * tpc + slot == step_trace[0]:
-                            # every=1 on the absolute dyn grid, alive for
-                            # the whole run — per-instruction observation
-                            # with zero hot-loop changes.
-                            ctx.plan_checkpoints(1, max_steps, step_trace[1])
-                barrier_hook = None
-                rounds_start = 0
-                skipped = 0
-                if checkpoint is not None:
-                    resume = checkpoint.resume
-                    if only_thread is not None:
-                        if resume is not None:
-                            if not isinstance(resume, ThreadCheckpoint):
-                                raise SimulatorError(
-                                    "thread-sliced runs resume from ThreadCheckpoint"
-                                )
-                            restore_t0 = time.perf_counter()
-                            threads[0].resume_from(resume)
-                            self._note_restore(time.perf_counter() - restore_t0)
-                            skipped = resume.dyn_index
-                        if checkpoint.sink is not None and checkpoint.interval > 0:
-                            threads[0].plan_checkpoints(
-                                checkpoint.interval,
-                                checkpoint.limit,
-                                checkpoint.sink,
-                            )
+                    read_target = [] if read_logs is not None else caller_read_log
+                    slot_write_logs = (
+                        [thread_write_logs[cta * tpc + slot] for slot in slots]
+                        if thread_write_logs is not None
+                        else None
+                    )
+                    slot = armed_slot if armed_cta == cta else None
+                    # A vectorized CTA needs a context only for the injected
+                    # thread, which it demotes to classic execution.
+                    if vector:
+                        context_slots = () if slot is None else (slot,)
                     else:
-                        if resume is not None:
-                            if not isinstance(resume, CTACheckpoint):
-                                raise SimulatorError(
-                                    "CTA-sliced runs resume from CTACheckpoint"
-                                )
-                            restore_t0 = time.perf_counter()
-                            resume.restore(threads, shared)
-                            self._note_restore(time.perf_counter() - restore_t0)
-                            rounds_start = resume.barrier_rounds
-                            skipped = resume.instructions
-                        if checkpoint.sink is not None:
-
-                            def barrier_hook(
-                                rounds, cta_threads,
-                                _sink=checkpoint.sink, _shared=shared,
-                            ):
-                                _sink(rounds, cta_threads, _shared)
-
-                caller_write_log = heap.write_log
-                caller_read_log = heap.read_log
-                if write_logs is not None:
-                    heap.write_log = write_logs[cta]
-                cta_reads: list[tuple[int, int]] = []
-                if read_logs is not None:
-                    heap.read_log = cta_reads
-                segment_logs = (
-                    [thread_write_logs[cta * tpc + slot] for slot in slots]
-                    if thread_write_logs is not None
-                    else None
-                )
-                try:
-                    barrier_rounds += run_cta(
-                        threads,
-                        segment_logs,
-                        barrier_hook=barrier_hook,
-                        barrier_rounds_start=rounds_start,
+                        context_slots = slots
+                    threads = self._contexts(
+                        program, geometry, param_mem, heap, shared, cta,
+                        context_slots, slot, spec,
+                        pooled=pooled, max_steps=max_steps,
+                        record_trace=record_traces, compiled=compiled,
                     )
-                finally:
-                    heap.write_log = caller_write_log if write_logs is None else None
-                    if read_logs is not None:
+                    injected = (
+                        threads[context_slots.index(slot)] if slot is not None else None
+                    )
+                    skipped = 0
+                    if vector:
+                        runner = self._vector_runner(
+                            program, geometry, param_mem, cta, pooled
+                        )
+                        runner.prepare(
+                            heap, shared, param_mem, max_steps, record_traces,
+                            write_target, read_target is not None, slot_write_logs,
+                        )
+                        if injected is not None:
+                            runner.attach_scalar(slot, injected)
+                        # The runner logs its own loads and stores.
+                        heap.write_log = heap.read_log = None
+                        execute = runner.run
+                    else:
+                        if step_trace is not None:
+                            for ctx_slot, ctx in zip(slots, threads):
+                                if cta * tpc + ctx_slot == step_trace[0]:
+                                    # every=1 on the absolute dyn grid, alive
+                                    # for the whole run — per-instruction
+                                    # observation with zero hot-loop changes.
+                                    ctx.plan_checkpoints(1, max_steps, step_trace[1])
+                        hook, rounds_start, skipped = self._wire_checkpoint(
+                            checkpoint, threads, shared, only_thread is not None
+                        )
+                        heap.write_log = write_target
+                        heap.read_log = read_target
+                        execute = partial(
+                            run_cta,
+                            threads,
+                            slot_write_logs,
+                            barrier_hook=hook,
+                            barrier_rounds_start=rounds_start,
+                        )
+                    try:
+                        barrier_rounds += execute()
+                    finally:
+                        heap.write_log = caller_write_log if write_logs is None else None
                         heap.read_log = caller_read_log
-                    for thread in threads:
-                        instructions += thread.dyn_count
-                    # A resumed slice reports only the instructions it
-                    # actually executed, not the skipped golden prefix.
-                    instructions -= skipped
-                    total_skipped += skipped
-                if record_traces:
-                    cta_tables.append(
-                        TraceTable.from_lists([thread.trace for thread in threads])
+                        executed = sum(thread.dyn_count for thread in threads)
+                        if vector:
+                            # The demoted lane never steps in the runner, so
+                            # its context alone counts it.
+                            executed += int(runner.dyn.sum())
+                            reads = runner.read_arrays()
+                            if read_logs is None and caller_read_log is not None:
+                                # A caller's heap log takes tuples, as
+                                # GlobalMemory.load appends them — including
+                                # loads flushed before an abort.
+                                caller_read_log.extend(
+                                    zip(reads[0].tolist(), reads[1].tolist())
+                                )
+                        elif read_logs is not None:
+                            reads = read_log_arrays(read_target)
+                        # A resumed slice reports only the instructions it
+                        # actually executed, not the skipped golden prefix.
+                        instructions += executed - skipped
+                        total_skipped += skipped
+                    if record_traces:
+                        cta_tables.append(
+                            runner.trace_table()
+                            if vector
+                            else TraceTable.from_lists([t.trace for t in threads])
+                        )
+                    if read_logs is not None:
+                        read_logs[cta] = reads
+                    if injected is not None:
+                        injection_applied = injected.injection is None
+            except VectorFallback:
+                fell_back = True
+                heap._data[span_lo:span_hi] = launch_image
+                if caller_write_log is not None:
+                    del caller_write_log[caller_wlen:]
+                if caller_read_log is not None:
+                    del caller_read_log[caller_rlen:]
+            except HangDetected:
+                hang = True
+                raise
+            except MemoryFault:
+                memory_fault = True
+                raise
+            finally:
+                if telemetry.enabled and not fell_back:
+                    if only_thread is not None:
+                        kind = "thread-sliced"
+                    elif only_cta is not None:
+                        kind = "sliced"
+                    else:
+                        kind = "golden" if injection is None else "full"
+                    telemetry.count("sim.launches")
+                    telemetry.count("sim.instructions", instructions)
+                    telemetry.count("sim.barrier_rounds", barrier_rounds)
+                    if hang:
+                        telemetry.count("sim.hangs")
+                    if memory_fault:
+                        telemetry.count("sim.memory_faults")
+                    telemetry.emit(
+                        SimRunEvent(
+                            time.time(),
+                            kind=kind,
+                            n_ctas=len(ctas),
+                            instructions=instructions,
+                            barrier_rounds=barrier_rounds,
+                            hang=hang,
+                            memory_fault=memory_fault,
+                            duration_s=time.perf_counter() - t0,
+                            backend=self.backend,
+                            checkpoint_interval=(
+                                checkpoint.interval if checkpoint is not None else 0
+                            ),
+                            skipped_instructions=total_skipped,
+                        )
                     )
-                if read_logs is not None:
-                    read_logs[cta] = read_log_arrays(cta_reads)
-                for slot, thread in zip(slots, threads):
-                    if injection_thread == cta * tpc + slot:
-                        injection_applied = thread.injection is None
-        except HangDetected:
-            hang = True
-            raise
-        except MemoryFault:
-            memory_fault = True
-            raise
-        finally:
-            if telemetry.enabled:
-                if only_thread is not None:
-                    kind = "thread-sliced"
-                elif only_cta is not None:
-                    kind = "sliced"
-                else:
-                    kind = "golden" if injection_thread is None else "full"
-                telemetry.count("sim.launches")
-                telemetry.count("sim.instructions", instructions)
-                telemetry.count("sim.barrier_rounds", barrier_rounds)
-                if hang:
-                    telemetry.count("sim.hangs")
-                if memory_fault:
-                    telemetry.count("sim.memory_faults")
-                telemetry.emit(
-                    SimRunEvent(
-                        time.time(),
-                        kind=kind,
-                        n_ctas=len(ctas),
-                        instructions=instructions,
-                        barrier_rounds=barrier_rounds,
-                        hang=hang,
-                        memory_fault=memory_fault,
-                        duration_s=time.perf_counter() - t0,
-                        backend=self.backend,
-                        checkpoint_interval=(
-                            checkpoint.interval if checkpoint is not None else 0
-                        ),
-                        skipped_instructions=total_skipped,
-                    )
+            if not fell_back:
+                return LaunchResult(
+                    geometry=geometry,
+                    traces=TraceTable.concat(cta_tables) if record_traces else None,
+                    cta_write_logs=write_logs,
+                    injection_applied=injection_applied,
+                    instructions=instructions,
+                    barrier_rounds=barrier_rounds,
+                    thread_write_logs=thread_write_logs,
+                    cta_read_logs=read_logs,
                 )
-
-        if injection_thread is not None and only_cta is None and only_thread is None:
-            owner = geometry.cta_of_thread(injection_thread)
-            if owner not in ctas:  # pragma: no cover - defensive
-                raise FaultInjectionError("injection thread outside launched CTAs")
-        return LaunchResult(
-            geometry=geometry,
-            traces=TraceTable.concat(cta_tables) if record_traces else None,
-            cta_write_logs=write_logs,
-            injection_applied=injection_applied,
-            instructions=instructions,
-            barrier_rounds=barrier_rounds,
-            thread_write_logs=thread_write_logs,
-            cta_read_logs=read_logs,
-        )
+            # Lockstep could not prove classic-identical results: rerun the
+            # whole launch on the compiled path.
+            vector = False
+            if telemetry.enabled:
+                telemetry.count("vector.fallbacks")

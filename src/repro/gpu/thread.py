@@ -6,10 +6,12 @@ budget (:class:`~repro.errors.HangDetected`).  The CTA scheduler in
 :mod:`~repro.gpu.cta` interleaves threads at barrier granularity, which is
 exact for data-race-free kernels.
 
-Fault injection hooks in here: when ``injection=(dyn_index, bit)`` is set,
-the destination register of the dynamic instruction with that issue index
-has one bit flipped immediately after the instruction writes it — the
-paper's single-bit-flip model for soft errors in functional-unit outputs.
+Fault injection hooks in here: when ``injection=InjectionSpec(dyn_index,
+bit)`` is set, the destination register of the dynamic instruction with
+that issue index has one bit flipped immediately after the instruction
+writes it — the paper's single-bit-flip model for soft errors in
+functional-unit outputs (the other fault models strike store addresses
+or the register file).
 
 The interpreter runs off :meth:`Program.decoded` — pre-decoded tuples with
 labels resolved, widths precomputed and executors bound — and keeps the
@@ -29,14 +31,6 @@ from .memory import GlobalMemory, ParamMemory, SharedMemory
 from .program import Program
 from .registers import RegisterFile, flip_bit
 from .tracing import TraceEntry
-
-
-def _normalize_injection(injection) -> InjectionSpec | None:
-    """Accept the legacy ``(dyn_index, bit)`` tuple or a full spec."""
-    if injection is None or isinstance(injection, InjectionSpec):
-        return injection
-    dyn_index, bit = injection
-    return InjectionSpec(dyn_index, bit)
 
 
 class ThreadState(enum.Enum):
@@ -82,7 +76,7 @@ class ThreadContext:
         param_mem: ParamMemory,
         max_steps: int,
         record_trace: bool = False,
-        injection: tuple[int, int] | InjectionSpec | None = None,
+        injection: InjectionSpec | None = None,
         compiled=None,
     ) -> None:
         self.program = program
@@ -92,7 +86,7 @@ class ThreadContext:
         self.dyn_count = 0
         self.max_steps = max_steps
         self.trace: list[TraceEntry] | None = [] if record_trace else None
-        self.injection = _normalize_injection(injection)
+        self.injection = injection
         self.specials = specials
         self.global_mem = global_mem
         self.shared_mem = shared_mem
@@ -111,7 +105,7 @@ class ThreadContext:
         param_mem: ParamMemory,
         max_steps: int,
         record_trace: bool = False,
-        injection: tuple[int, int] | InjectionSpec | None = None,
+        injection: InjectionSpec | None = None,
         compiled=None,
     ) -> None:
         """Re-arm a pooled context for a fresh launch of the same program.
@@ -126,7 +120,7 @@ class ThreadContext:
         self.dyn_count = 0
         self.max_steps = max_steps
         self.trace = [] if record_trace else None
-        self.injection = _normalize_injection(injection)
+        self.injection = injection
         self.specials = specials
         self.global_mem = global_mem
         self.shared_mem = shared_mem
@@ -373,8 +367,6 @@ class ThreadContext:
         end = len(decoded)
         regs = self.regs.values
         specials = self.specials
-        global_mem = self.global_mem
-        shared_mem = self.shared_mem
         param_mem = self.param_mem
         trace = self.trace
         max_steps = self.max_steps

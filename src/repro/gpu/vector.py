@@ -36,16 +36,10 @@ its writes splice into the logs at its slot position.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..errors import ExecutionFault, HangDetected, MemoryFault, SimulatorError
-from ..telemetry import SimRunEvent
-from .alu import EXECUTORS, condition_code, to_int, _exec_set_general
-from .checkpoint import CTACheckpoint
-from .injection import FaultModel
+from ..errors import ExecutionFault, HangDetected, MemoryFault
+from .alu import condition_code, to_int, _exec_set_general
 from .isa import (
     DataType,
     Imm,
@@ -57,8 +51,8 @@ from .isa import (
     Reg,
     Special,
 )
-from .memory import SharedMemory, decode_value, encode_value
-from .thread import ThreadContext, ThreadState
+from .memory import encode_value
+from .thread import ThreadState
 from .tracing import (
     ADDRESS_DTYPE,
     SIZE_DTYPE,
@@ -68,7 +62,7 @@ from .tracing import (
     read_log_arrays,
 )
 
-__all__ = ["VectorFallback", "VectorProgram", "launch_vectorized"]
+__all__ = ["VectorFallback", "VectorProgram"]
 
 _U64_MASK = (1 << 64) - 1
 _U64 = np.uint64
@@ -1011,7 +1005,6 @@ class _VectorCTARunner:
         #: lets operand reads skip the isf-plane gather for int columns.
         self.colf = np.zeros(ncols, bool)
         self.status_dirty = False
-        self.lane_view = _LaneView(self)
 
     # ----------------------------------------------------------- operands
 
@@ -1739,12 +1732,12 @@ class _VectorCTARunner:
             data[address : address + len(raw)] = raw
         raise self.parked[limit]
 
-    def run(self, barrier_hook, rounds_start):
-        """Drive the CTA to completion; returns absolute barrier rounds."""
+    def run(self):
+        """Drive the CTA to completion; returns its barrier rounds."""
         lo, hi = self.heap.allocation_span()
         self.entry_span = (lo, hi)
         self.entry_image = bytes(self.heap._data[lo:hi])
-        rounds = rounds_start
+        rounds = 0
         sc = self.scalar_ctx
         with np.errstate(all="ignore"):
             while True:
@@ -1768,8 +1761,6 @@ class _VectorCTARunner:
                     self.status[waiting] = _RUNNING
                     if sc_wait:
                         sc.state = ThreadState.RUNNING
-                    if barrier_hook is not None:
-                        barrier_hook(rounds, self.lane_view)
                     continue
                 return rounds
 
@@ -1807,255 +1798,6 @@ class _VectorCTARunner:
         return TraceTable(pcs[order], widths[order], offsets)
 
 
-# ------------------------------------------------------- checkpoint shims
-#
-# ``CTACheckpoint.capture``/``restore`` speak the ThreadContext protocol:
-# ``t.regs.values`` (a dict), ``t.pc``, ``t.dyn_count`` and ``t.state``.
-# These views present one lane of the register file through that protocol,
-# so the existing checkpoint machinery (and the injector's barrier sink)
-# works against the vector backend without modification.
-
-
-class _SlotRegs:
-    __slots__ = ("_runner", "_lane")
-
-    def __init__(self, runner, lane):
-        self._runner = runner
-        self._lane = lane
-
-    @property
-    def values(self):
-        runner = self._runner
-        lane = self._lane
-        return {
-            name: runner._lane_get(col, lane)
-            for name, col in runner.vprog.colmap.items()
-        }
-
-    @values.setter
-    def values(self, mapping):
-        runner = self._runner
-        lane = self._lane
-        colmap = runner.vprog.colmap
-        runner.ibits[:, lane] = 0
-        runner.neg[:, lane] = False
-        runner.isf[:, lane] = False
-        runner.fval[:, lane] = 0.0
-        for name, value in mapping.items():
-            col = colmap.get(name)
-            if col is None:
-                if value == 0:
-                    continue  # zero default: absent column reads as zero
-                raise VectorFallback(f"unknown register {name!r} in checkpoint")
-            runner._lane_set(col, lane, value)
-
-
-class _SlotView:
-    __slots__ = ("_runner", "_lane", "regs")
-
-    def __init__(self, runner, lane):
-        self._runner = runner
-        self._lane = lane
-        self.regs = _SlotRegs(runner, lane)
-
-    @property
-    def pc(self):
-        return int(self._runner.pcs[self._lane])
-
-    @pc.setter
-    def pc(self, value):
-        self._runner.pcs[self._lane] = value
-
-    @property
-    def dyn_count(self):
-        return int(self._runner.dyn[self._lane])
-
-    @dyn_count.setter
-    def dyn_count(self, value):
-        self._runner.dyn[self._lane] = value
-
-    @property
-    def state(self):
-        s = self._runner.status[self._lane]
-        if s == _EXITED:
-            return ThreadState.EXITED
-        if s == _AT_BARRIER:
-            return ThreadState.AT_BARRIER
-        return ThreadState.RUNNING
-
-    @state.setter
-    def state(self, value):
-        if value is ThreadState.EXITED:
-            s = _EXITED
-        elif value is ThreadState.AT_BARRIER:
-            s = _AT_BARRIER
-        else:
-            s = _RUNNING
-        self._runner.status[self._lane] = s
-
-
-class _LaneView:
-    """List-like CTA view; the demoted slot resolves to its real context."""
-
-    __slots__ = ("_runner", "_views")
-
-    def __init__(self, runner):
-        self._runner = runner
-        self._views = [_SlotView(runner, lane) for lane in range(runner.nlanes)]
-
-    def __len__(self):
-        return len(self._views)
-
-    def __getitem__(self, slot):
-        runner = self._runner
-        if slot == runner.scalar_slot:
-            return runner.scalar_ctx
-        return self._views[slot]
-
-    def __iter__(self):
-        for slot in range(len(self._views)):
-            yield self[slot]
-
-    def capture_native(self, barrier_rounds, shared, write_count):
-        """Whole-CTA snapshot as register-file plane copies (no dicts).
-
-        ``CTACheckpoint.capture`` dispatches here for vector runners; the
-        demoted scalar lane (if any) is folded in dict-form since its live
-        state is a ThreadContext, with its status normalised so the arrays
-        describe a plain vector CTA.
-        """
-        runner = self._runner
-        dyn = runner.dyn.copy()
-        pcs = runner.pcs.copy()
-        status = runner.status.copy()
-        sc = runner.scalar_slot
-        scalar_regs = None
-        if sc >= 0:
-            ctx = runner.scalar_ctx
-            dyn[sc] = ctx.dyn_count
-            pcs[sc] = ctx.pc
-            status[sc] = _EXITED if ctx.state is ThreadState.EXITED else _RUNNING
-            scalar_regs = dict(ctx.regs.values)
-        shared_data = shared.snapshot_bytes() if shared is not None else None
-        nbytes = int(
-            runner.ibits.nbytes + runner.neg.nbytes + runner.isf.nbytes
-            + runner.fval.nbytes + pcs.nbytes + dyn.nbytes + status.nbytes
-        ) + 256
-        if shared_data is not None:
-            nbytes += len(shared_data)
-        if scalar_regs is not None:
-            nbytes += 64 * len(scalar_regs)
-        return VectorCTACheckpoint(
-            barrier_rounds=barrier_rounds,
-            write_count=write_count,
-            instructions=int(dyn.sum()),
-            thread_dyn=tuple(int(d) for d in dyn),
-            thread_pcs=(),
-            thread_exited=(),
-            thread_regs=(),
-            shared_data=shared_data,
-            nbytes=nbytes,
-            lane_ibits=runner.ibits.copy(),
-            lane_neg=runner.neg.copy(),
-            lane_isf=runner.isf.copy(),
-            lane_fval=runner.fval.copy(),
-            lane_pcs=pcs,
-            lane_dyn=dyn,
-            lane_status=status,
-            scalar_lane=sc,
-            scalar_regs=scalar_regs,
-            colmap=runner.vprog.colmap,
-        )
-
-
-@dataclass(slots=True)
-class VectorCTACheckpoint(CTACheckpoint):
-    """Vector-native CTA snapshot: plane slices instead of per-lane dicts.
-
-    Capture and restore against a vector runner are a handful of array
-    copies, so checkpointed fast-forwarding costs O(planes) instead of
-    O(lanes x registers) Python work per injection.  The dict-protocol
-    fields of the base class stay empty; ``restore`` also accepts a plain
-    ThreadContext list (classic fallback rerun) by materialising each
-    lane's dict from the planes via ``colmap``.
-    """
-
-    lane_ibits: "np.ndarray"
-    lane_neg: "np.ndarray"
-    lane_isf: "np.ndarray"
-    lane_fval: "np.ndarray"
-    lane_pcs: "np.ndarray"
-    lane_dyn: "np.ndarray"
-    lane_status: "np.ndarray"
-    scalar_lane: int
-    scalar_regs: dict | None
-    colmap: dict
-
-    def _lane_dict(self, lane):
-        out = {}
-        for name, col in self.colmap.items():
-            if self.lane_isf[col, lane]:
-                out[name] = float(self.lane_fval[col, lane])
-            else:
-                value = int(self.lane_ibits[col, lane])
-                if self.lane_neg[col, lane]:
-                    value -= 1 << 64
-                out[name] = value
-        return out
-
-    def restore(self, threads, shared) -> None:
-        if isinstance(threads, _LaneView):
-            runner = threads._runner
-            runner.ibits[:] = self.lane_ibits
-            runner.neg[:] = self.lane_neg
-            runner.isf[:] = self.lane_isf
-            runner.fval[:] = self.lane_fval
-            runner.pcs[:] = self.lane_pcs
-            runner.dyn[:] = self.lane_dyn
-            runner.status[:] = self.lane_status
-            runner.status_dirty = True
-            # The may-hold-floats column flags must cover the restored
-            # planes, not whatever the runner saw since prepare().
-            runner.colf[:] = self.lane_isf.any(axis=1)
-            s1 = self.scalar_lane
-            s2 = runner.scalar_slot
-            if s1 >= 0 and s1 != s2:
-                # The snapshot's demoted lane has no plane state; rehydrate
-                # its planes from the captured dict.
-                threads._views[s1].regs.values = self.scalar_regs
-            if s2 >= 0:
-                ctx = runner.scalar_ctx
-                if s1 == s2:
-                    ctx.regs.values = dict(self.scalar_regs)
-                else:
-                    ctx.regs.values = threads._views[s2].regs.values
-                ctx.pc = int(self.lane_pcs[s2])
-                ctx.dyn_count = int(self.lane_dyn[s2])
-                ctx.state = (
-                    ThreadState.EXITED
-                    if self.lane_status[s2] == _EXITED
-                    else ThreadState.RUNNING
-                )
-                runner.status[s2] = _SCALAR
-            if shared is not None and self.shared_data is not None:
-                shared.restore_bytes(self.shared_data)
-            return
-        for slot, ctx in enumerate(threads):
-            if slot == self.scalar_lane:
-                ctx.regs.values = dict(self.scalar_regs)
-            else:
-                ctx.regs.values = self._lane_dict(slot)
-            ctx.pc = int(self.lane_pcs[slot])
-            ctx.dyn_count = int(self.lane_dyn[slot])
-            ctx.state = (
-                ThreadState.EXITED
-                if self.lane_status[slot] == _EXITED
-                else ThreadState.RUNNING
-            )
-        if shared is not None and self.shared_data is not None:
-            shared.restore_bytes(self.shared_data)
-
-
 class _RecordingShared:
     """Shared-memory proxy that paints the demoted thread's accesses."""
 
@@ -2082,241 +1824,3 @@ class _RecordingShared:
             runner._paint_write_scalar(
                 runner.shared_board, self._lane, address, dtype.width // 8
             )
-
-
-# --------------------------------------------------------------- launcher
-
-
-def launch_vectorized(
-    sim,
-    program,
-    geometry,
-    param_mem,
-    heap,
-    *,
-    record_traces,
-    record_write_logs,
-    record_read_logs,
-    record_thread_write_logs,
-    only_cta,
-    injection_thread,
-    injection_spec,
-    max_steps,
-    checkpoint,
-):
-    """Run one launch on the vector backend with classic-identical results.
-
-    Raises :class:`VectorFallback` (after rolling the heap and caller logs
-    back to their launch-entry state) when lockstep execution cannot prove
-    equivalence; the simulator then re-runs on the compiled path.
-    """
-    from .simulator import _POOL_LIMIT, LaunchResult
-
-    telemetry = sim.telemetry
-    vprog = program.vectorized(param_mem)
-    tpc = geometry.threads_per_cta
-    ctas = range(geometry.n_ctas) if only_cta is None else (only_cta,)
-    use_pool = only_cta is not None
-    param_key = param_mem.raw
-    write_logs = (
-        [[] for _ in range(geometry.n_ctas)] if record_write_logs else None
-    )
-    thread_write_logs = (
-        [[] for _ in range(geometry.n_threads)]
-        if record_thread_write_logs and record_write_logs
-        else None
-    )
-    cta_tables: list[TraceTable] = []
-    injection_applied = False
-    t0 = time.perf_counter() if telemetry.enabled else 0.0
-    instructions = 0
-    barrier_rounds = 0
-    total_skipped = 0
-    hang = False
-    memory_fault = False
-    fell_back = False
-    caller_write_log = heap.write_log
-    caller_read_log = heap.read_log
-    caller_wlen = len(caller_write_log) if caller_write_log is not None else 0
-    caller_rlen = len(caller_read_log) if caller_read_log is not None else 0
-    read_logs = [read_log_arrays([])] * geometry.n_ctas if record_read_logs else None
-    record_reads = read_logs is not None or caller_read_log is not None
-    span_lo, span_hi = heap.allocation_span()
-    launch_image = bytes(heap._data[span_lo:span_hi])
-    heap.write_log = None
-    heap.read_log = None
-    try:
-        for cta in ctas:
-            if not program.shared_bytes:
-                shared = None
-            elif use_pool:
-                shared = sim._pooled_shared(program, cta)
-            else:
-                shared = SharedMemory(program.shared_bytes)
-            runner = None
-            if use_pool:
-                rkey = (id(program), param_key, geometry, cta)
-                entry = sim._vector_pool.get(rkey)
-                if entry is not None and entry[0] is program:
-                    runner = entry[1]
-            if runner is None:
-                specials_list = [
-                    sim._cached_specials(geometry, cta, slot)
-                    if use_pool
-                    else geometry.specials_for(cta, slot)
-                    for slot in range(tpc)
-                ]
-                runner = _VectorCTARunner(vprog, tpc, specials_list)
-                if use_pool:
-                    if len(sim._vector_pool) >= _POOL_LIMIT:
-                        sim._vector_pool.clear()
-                    sim._vector_pool[rkey] = (program, runner)
-            write_target = (
-                write_logs[cta] if write_logs is not None else caller_write_log
-            )
-            thread_targets = (
-                [thread_write_logs[cta * tpc + slot] for slot in range(tpc)]
-                if thread_write_logs is not None
-                else None
-            )
-            runner.prepare(
-                heap, shared, param_mem, max_steps, record_traces,
-                write_target, record_reads, thread_targets,
-            )
-            sc_ctx = None
-            if (
-                injection_thread is not None
-                and geometry.cta_of_thread(injection_thread) == cta
-            ):
-                sc_slot = injection_thread % tpc
-                compiled_program = program.compiled(param_mem)
-                if use_pool:
-                    key = (id(program), param_key, geometry, cta, sc_slot)
-                    specials = sim._cached_specials(geometry, cta, sc_slot)
-                    entry = sim._context_pool.get(key)
-                    if entry is not None and entry[0] is program:
-                        sc_ctx = entry[1]
-                        sc_ctx.reset(
-                            specials, heap, shared, param_mem,
-                            max_steps=max_steps, record_trace=record_traces,
-                            injection=injection_spec, compiled=compiled_program,
-                        )
-                    else:
-                        sc_ctx = ThreadContext(
-                            program, specials, heap, shared, param_mem,
-                            max_steps=max_steps, record_trace=record_traces,
-                            injection=injection_spec, compiled=compiled_program,
-                        )
-                        if len(sim._context_pool) >= _POOL_LIMIT:
-                            sim._context_pool.clear()
-                        sim._context_pool[key] = (program, sc_ctx)
-                else:
-                    specials = geometry.specials_for(cta, sc_slot)
-                    sc_ctx = ThreadContext(
-                        program, specials, heap, shared, param_mem,
-                        max_steps=max_steps, record_trace=record_traces,
-                        injection=injection_spec, compiled=compiled_program,
-                    )
-                runner.attach_scalar(sc_slot, sc_ctx)
-            barrier_hook = None
-            rounds_start = 0
-            skipped = 0
-            if checkpoint is not None:
-                resume = checkpoint.resume
-                if resume is not None:
-                    if not isinstance(resume, CTACheckpoint):
-                        raise SimulatorError(
-                            "CTA-sliced runs resume from CTACheckpoint"
-                        )
-                    restore_t0 = time.perf_counter()
-                    resume.restore(runner.lane_view, shared)
-                    sim._note_restore(time.perf_counter() - restore_t0)
-                    rounds_start = resume.barrier_rounds
-                    skipped = resume.instructions
-                if checkpoint.sink is not None:
-
-                    def barrier_hook(
-                        rounds, cta_threads, _sink=checkpoint.sink, _shared=shared
-                    ):
-                        _sink(rounds, cta_threads, _shared)
-            try:
-                barrier_rounds += runner.run(barrier_hook, rounds_start)
-            finally:
-                executed = int(runner.dyn.sum())
-                if sc_ctx is not None:
-                    executed += sc_ctx.dyn_count - int(runner.dyn[runner.scalar_slot])
-                instructions += executed - skipped
-                total_skipped += skipped
-                if read_logs is not None:
-                    read_logs[cta] = runner.read_arrays()
-                elif caller_read_log is not None:
-                    # A caller's heap log takes tuples, as GlobalMemory.load
-                    # appends them — including loads flushed before an abort.
-                    addresses, sizes = runner.read_arrays()
-                    caller_read_log.extend(zip(addresses.tolist(), sizes.tolist()))
-            if record_traces:
-                cta_tables.append(runner.trace_table())
-            if sc_ctx is not None:
-                injection_applied = sc_ctx.injection is None
-    except VectorFallback:
-        fell_back = True
-        heap._data[span_lo:span_hi] = launch_image
-        if caller_write_log is not None:
-            del caller_write_log[caller_wlen:]
-        if caller_read_log is not None:
-            del caller_read_log[caller_rlen:]
-        raise
-    except HangDetected:
-        hang = True
-        raise
-    except MemoryFault:
-        memory_fault = True
-        raise
-    finally:
-        if fell_back:
-            heap.write_log = caller_write_log
-            heap.read_log = caller_read_log
-        else:
-            heap.write_log = caller_write_log if write_logs is None else None
-            heap.read_log = caller_read_log
-            if telemetry.enabled:
-                if only_cta is not None:
-                    kind = "sliced"
-                elif injection_thread is None:
-                    kind = "golden"
-                else:
-                    kind = "full"
-                telemetry.count("sim.launches")
-                telemetry.count("sim.instructions", instructions)
-                telemetry.count("sim.barrier_rounds", barrier_rounds)
-                if hang:
-                    telemetry.count("sim.hangs")
-                if memory_fault:
-                    telemetry.count("sim.memory_faults")
-                telemetry.emit(
-                    SimRunEvent(
-                        time.time(),
-                        kind=kind,
-                        n_ctas=len(ctas),
-                        instructions=instructions,
-                        barrier_rounds=barrier_rounds,
-                        hang=hang,
-                        memory_fault=memory_fault,
-                        duration_s=time.perf_counter() - t0,
-                        backend=sim.backend,
-                        checkpoint_interval=(
-                            checkpoint.interval if checkpoint is not None else 0
-                        ),
-                        skipped_instructions=total_skipped,
-                    )
-                )
-    return LaunchResult(
-        geometry=geometry,
-        traces=TraceTable.concat(cta_tables) if record_traces else None,
-        cta_write_logs=write_logs,
-        injection_applied=injection_applied,
-        instructions=instructions,
-        barrier_rounds=barrier_rounds,
-        thread_write_logs=thread_write_logs,
-        cta_read_logs=read_logs,
-    )

@@ -139,7 +139,6 @@ class SerialExecutor:
         self,
         injector: "FaultInjector",
         pairs: Iterable[tuple["FaultSite", float]],
-        telemetry: Telemetry | None = None,
     ) -> Iterator[tuple["FaultSite", float, "Outcome"]]:
         batch = self.order_batch
         if batch is None:
@@ -192,7 +191,6 @@ def _build_payload(injector: "FaultInjector") -> dict | None:
         # Ship the *resolved* interval: "auto" was already collapsed to a
         # concrete int in the parent, so every worker uses the same plan.
         "checkpoint_interval": injector.checkpoint_interval,
-        "checkpoint_budget_mb": injector.checkpoint_budget_mb,
         "backend": injector.backend,
         # Provenance tracing travels with the campaign: records stream
         # back inside each worker's InjectionEvents (snapshot absorb).
@@ -246,7 +244,6 @@ def _init_worker(payload: dict) -> None:
         ),
         thread_slicing=payload["thread_slicing"],
         checkpoint_interval=payload["checkpoint_interval"],
-        checkpoint_budget_mb=payload["checkpoint_budget_mb"],
         backend=payload["backend"],
         golden=golden,
         propagation=payload["propagation"],
@@ -340,18 +337,21 @@ class ParallelCampaignRunner:
         self,
         injector: "FaultInjector",
         pairs: Iterable[tuple["FaultSite", float]],
-        telemetry: Telemetry | None = None,
     ) -> Iterator[tuple["FaultSite", float, "Outcome"]]:
-        """Yield ``(site, weight, outcome)`` in exact input order."""
-        telemetry = telemetry if telemetry is not None else injector.telemetry
+        """Yield ``(site, weight, outcome)`` in exact input order.
+
+        Worker events and counters are absorbed into the injector's own
+        telemetry — the handle its serial fallback records into.
+        """
+        telemetry = injector.telemetry
         if self.workers <= 1:
-            yield from SerialExecutor().imap(injector, pairs, telemetry)
+            yield from SerialExecutor().imap(injector, pairs)
             return
         payload = _build_payload(injector)
         if payload is None:
             if telemetry.enabled:
                 telemetry.count("parallel.serial_fallback")
-            yield from SerialExecutor().imap(injector, pairs, telemetry)
+            yield from SerialExecutor().imap(injector, pairs)
             return
         try:
             pool = self._context().Pool(
@@ -362,7 +362,7 @@ class ParallelCampaignRunner:
         except (OSError, ValueError):  # pragma: no cover - pool-less platforms
             if telemetry.enabled:
                 telemetry.count("parallel.serial_fallback")
-            yield from SerialExecutor().imap(injector, pairs, telemetry)
+            yield from SerialExecutor().imap(injector, pairs)
             return
         if telemetry.enabled:
             telemetry.set_gauge("parallel.workers", self.workers)

@@ -29,15 +29,20 @@ N_SITES = 48
 SEED = 11
 
 
-def _campaign(key, interval, workers=1, budget_mb=64.0, order_batch=None):
-    """One instrumented campaign; returns (injector, result, counters)."""
+def _campaign(key, interval, workers=1, budget_mb=None, order_batch=None):
+    """One instrumented campaign; returns (injector, result, counters).
+
+    ``budget_mb`` installs a checkpoint store of that budget on the
+    injector in place of its default one.
+    """
     telemetry = Telemetry(sink=MemorySink())
     injector = FaultInjector(
         load_instance(key),
         telemetry=telemetry,
         checkpoint_interval=interval,
-        checkpoint_budget_mb=budget_mb,
     )
+    if budget_mb is not None:
+        injector.checkpoints = CheckpointStore(int(budget_mb * (1 << 20)))
     if workers > 1:
         executor = ParallelCampaignRunner(
             workers, chunk_size=8, start_method=START_METHOD

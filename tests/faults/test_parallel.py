@@ -203,20 +203,16 @@ class TestDegradation:
         assert [o for _, _, o in streamed] == serial.outcomes
 
     def test_unpicklable_instance_falls_back_to_serial(self, saxpy_serial):
-        injector, serial = saxpy_serial
+        _reference_injector, serial = saxpy_serial
+        telemetry = Telemetry(sink=MemorySink())
+        injector = FaultInjector(build_saxpy_instance(), telemetry=telemetry)
         # Poison the instance so the payload builder cannot pickle it.
-        instance = injector.instance
-        original = instance.reference
-        instance.reference = {"cb": lambda: None}  # lambdas don't pickle
-        try:
-            telemetry = Telemetry(sink=MemorySink())
-            pairs = [(site, 1.0) for site in serial.sites]
-            streamed = list(make_runner(2).imap(injector, pairs, telemetry))
-            assert [o for _, _, o in streamed] == serial.outcomes
-            counters = telemetry.metrics.snapshot()["counters"]
-            assert counters["parallel.serial_fallback"] == 1
-        finally:
-            instance.reference = original
+        injector.instance.reference = {"cb": lambda: None}  # lambdas don't pickle
+        pairs = [(site, 1.0) for site in serial.sites]
+        streamed = list(make_runner(2).imap(injector, pairs))
+        assert [o for _, _, o in streamed] == serial.outcomes
+        counters = telemetry.metrics.snapshot()["counters"]
+        assert counters["parallel.serial_fallback"] == 1
 
     def test_serial_executor_streams_in_order(self, saxpy_serial):
         injector, serial = saxpy_serial

@@ -16,7 +16,11 @@ import numpy as np
 import pytest
 
 from repro import FaultInjector, load_instance, random_campaign
+from repro.errors import SimulatorError
+from repro.gpu import GPUSimulator
+from repro.gpu.checkpoint import CheckpointPlan
 from repro.parallel import ParallelCampaignRunner
+from repro.telemetry import MemorySink, SimRunEvent, Telemetry
 
 START_METHOD = os.environ.get("REPRO_TEST_START_METHOD") or None
 
@@ -78,17 +82,79 @@ def test_vectorized_with_checkpoints_matches_full_prefix_interpreter():
         N_SITES,
         rng=SEED,
     )
+    telemetry = Telemetry(sink=MemorySink())
     candidate = random_campaign(
         FaultInjector(
             load_instance("pathfinder.k1"),
             backend="vectorized",
             checkpoint_interval=16,
+            telemetry=telemetry,
         ),
         N_SITES,
         rng=SEED,
     )
     assert candidate.outcomes == reference.outcomes
     assert candidate.profile.weights == reference.profile.weights
+    # Vectorized CTA slices take no checkpoint plan: no CTA lookup, and
+    # nothing skipped, on a kernel whose every injection is CTA-sliced.
+    counters = telemetry.metrics.snapshot()["counters"]
+    assert not [name for name in counters if name.startswith("checkpoint.cta_")]
+    assert counters.get("checkpoint.skipped_instructions", 0) == 0
+    launches = telemetry.sink.of_type(SimRunEvent)
+    assert launches and all(e.skipped_instructions == 0 for e in launches)
+
+    instance = load_instance("pathfinder.k1")
+    with pytest.raises(SimulatorError):
+        GPUSimulator(backend="vectorized").launch(
+            instance.program,
+            instance.geometry,
+            instance.param_bytes,
+            memory=instance.golden_memory(),
+            only_cta=0,
+            checkpoint=CheckpointPlan(interval=16),
+        )
+
+
+#: One kernel per launch shape: barrier-heavy CTA slices (pathfinder,
+#: lud), thread slices (2dconv), and CTA slices of a kernel without shared
+#: memory whose golden reads touch its golden writes (gaussian.k2).
+PARITY_KEYS = ("pathfinder.k1", "gaussian.k2", "lud.k46", "2dconv.k1")
+
+
+def _launch_events(key: str, backend: str) -> list[SimRunEvent]:
+    """Every launch of a 30-site campaign plus two full re-executions."""
+    telemetry = Telemetry(sink=MemorySink())
+    injector = FaultInjector(
+        load_instance(key),
+        backend=backend,
+        checkpoint_interval=0,
+        telemetry=telemetry,
+    )
+    random_campaign(injector, 30, rng=SEED)
+    for site in injector.space.sample(2, np.random.default_rng(SEED)):
+        injector.inject_full(site)
+    return telemetry.sink.of_type(SimRunEvent)
+
+
+@pytest.mark.parametrize("key", PARITY_KEYS)
+def test_compiled_and_vectorized_launches_match(key):
+    """The one launch loop reports the same launches on both backends.
+
+    ``instructions`` is compared only for launches that completed: after
+    an abort, lockstep lanes have advanced past the point where the
+    sequential schedule stops.
+    """
+    compiled = _launch_events(key, "compiled")
+    vectorized = _launch_events(key, "vectorized")
+    kinds = {e.kind for e in compiled}
+    assert {"golden", "full"} <= kinds and kinds & {"sliced", "thread-sliced"}
+    assert len(compiled) == len(vectorized)
+    for a, b in zip(compiled, vectorized):
+        shape = ("kind", "n_ctas", "barrier_rounds", "hang", "memory_fault")
+        assert [getattr(a, f) for f in shape] == [getattr(b, f) for f in shape]
+        assert a.skipped_instructions == b.skipped_instructions == 0
+        if not (a.hang or a.memory_fault):
+            assert a.instructions == b.instructions, (key, a.kind)
 
 
 def test_vectorized_two_workers_matches_serial_interpreter():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gpu.alu import EXECUTORS, compare, condition_code
 from repro.gpu.isa import DataType
+from repro.gpu.program import FLOAT_ONLY_OPS, INT_ONLY_OPS
 
 _INT_DTYPES = [DataType.U16, DataType.U32, DataType.S32, DataType.U64]
 _FLOAT_DTYPES = [DataType.F32, DataType.F64]
@@ -25,8 +26,6 @@ corrupt_values = st.one_of(corrupt_ints, corrupt_floats)
 # Valid (op, dtype-family) pairs only — programs with integer-only ops on
 # floats (and vice versa) are rejected at build time (see test_builder_
 # program), so the ALU contract covers well-typed instructions.
-from repro.gpu.program import FLOAT_ONLY_OPS, INT_ONLY_OPS
-
 _UNARY = ["mov", "cvt", "neg", "abs", "not", "rcp", "sqrt", "ex2", "lg2"]
 _BINARY = ["add", "sub", "mul", "mul.wide", "div", "rem", "min", "max",
            "and", "or", "xor", "shl", "shr"]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SimulatorError
 from repro.gpu import GPUSimulator, KernelBuilder, LaunchGeometry, pack_params
+from repro.gpu.injection import InjectionSpec
 from repro.gpu.simulator import LaunchResult
 
 from ..helpers import build_saxpy_instance
@@ -120,7 +121,7 @@ class TestLaunch:
         sim = GPUSimulator()
         result = sim.launch(
             inst.program, inst.geometry, inst.param_bytes,
-            memory=inst.golden_memory(), injection=(0, 0, 3),
+            memory=inst.golden_memory(), injection=(0, InjectionSpec(0, 3)),
         )
         assert result.injection_applied
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import HangDetected
 from repro.gpu import GPUSimulator, KernelBuilder, LaunchGeometry, pack_params
+from repro.gpu.injection import InjectionSpec
 from repro.gpu.memory import GlobalMemory, ParamMemory, SharedMemory
 from repro.gpu.thread import ThreadContext, ThreadState
 from repro.gpu.cta import run_cta
@@ -97,7 +98,7 @@ class TestControlFlow:
         r = k.regs("a")
         k.mov("u32", r.a, 0)
         k.retp()
-        thread = _run_single(k, injection=(0, 5))
+        thread = _run_single(k, injection=InjectionSpec(0, 5))
         assert thread.regs.read("a") == 32
         assert thread.injection is None  # consumed
 
@@ -108,7 +109,7 @@ class TestControlFlow:
         k.set("eq", "u32", p, 1, 2)  # zero flag clear
         k.mov("u32", r.a, 42, guard=(p, "eq"))
         k.retp()
-        thread = _run_single(k, injection=(0, 0))  # flip zero flag
+        thread = _run_single(k, injection=InjectionSpec(0, 0))  # flip zero flag
         assert thread.regs.read("a") == 42  # guard now passes
 
 
