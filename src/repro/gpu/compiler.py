@@ -62,9 +62,11 @@ execution, because a fault model may have corrupted the register the
 instruction is about to overwrite.
 
 The arming layer in :mod:`repro.gpu.thread` keeps injection exact: the
-single dynamic instruction carrying a flip runs through the
-interpreter's slow-path semantics; every other instruction runs
-compiled.
+single dynamic instruction carrying a flip runs on the interpreter loop
+itself, the only code that applies a fault; every other instruction runs
+compiled.  Instruction semantics live in exactly three places — the
+interpreter, these emitters and the vector ops of :mod:`repro.gpu.vector`
+— and the differential fuzz harness holds the other two to the first.
 """
 
 from __future__ import annotations

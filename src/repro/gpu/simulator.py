@@ -527,7 +527,7 @@ class GPUSimulator:
                             program, geometry, param_mem, cta, pooled
                         )
                         runner.prepare(
-                            heap, shared, param_mem, max_steps, record_traces,
+                            heap, shared, max_steps, record_traces,
                             write_target, read_target is not None, slot_write_logs,
                         )
                         if injected is not None:

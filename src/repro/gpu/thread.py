@@ -178,11 +178,12 @@ class ThreadContext:
         the hang budget, the next checkpoint capture and the armed
         injection — and otherwise one instruction; so every boundary is
         observed on the same dynamic index as in :meth:`_run_interpreted`,
-        and entering a block mid-way (a checkpoint resume, the armed step)
-        single-steps to the next leader.  Traced runs single-step
-        throughout.  The single dynamic instruction holding a pending
-        fault runs through :meth:`_armed_step` (interpreter semantics) so
-        outcomes, traces and write logs stay byte-identical.
+        and entering a block mid-way (a checkpoint resume, the armed
+        instruction) single-steps to the next leader.  Traced runs
+        single-step throughout.  The single dynamic instruction holding a
+        pending fault runs on :meth:`_run_interpreted` itself, stopped one
+        instruction later: the interpreter is the only code that applies a
+        fault, so outcomes, traces and write logs stay byte-identical.
         """
         prog = self.compiled
         end = prog.end
@@ -197,7 +198,6 @@ class ThreadContext:
         max_steps = self.max_steps
         injection = self.injection
         arm_at = -1 if injection is None else injection.dyn_index
-        consumed = False
         pc = self.pc
         dyn = self.dyn_count
         cp_next = self.cp_next
@@ -223,11 +223,15 @@ class ThreadContext:
                 if dyn == arm_at:
                     arm_at = -1
                     bound = _next_boundary(max_steps, cp_next, arm_at)
-                    dyn += 1
-                    pc, fired, blocked = self._armed_step(pc)
-                    if fired:
-                        consumed = True
-                    if blocked:
+                    self.pc = pc
+                    self.dyn_count = dyn
+                    self.cp_next = cp_next
+                    try:
+                        self._run_interpreted(stop=dyn + 1)
+                    finally:
+                        pc = self.pc
+                        dyn = self.dyn_count
+                    if self.state is not ThreadState.RUNNING:
                         return
                     continue
                 n = sizes[pc]
@@ -252,117 +256,11 @@ class ThreadContext:
             self.pc = pc
             self.dyn_count = dyn
             self.cp_next = cp_next
-            if consumed:
-                self.injection = None
 
-    def _armed_step(self, pc: int) -> tuple[int, bool, bool]:
-        """One dynamic instruction through interpreter semantics with the
-        pending injection applied — the compiled backend's slow path.
-
-        The caller has already counted this dynamic instruction; on a
-        fault the exception propagates with ``pc`` still at the crashing
-        instruction, exactly like the interpreter.  Returns
-        ``(next_pc, fired, blocked)``.
-        """
-        (
-            op, dtype, dest_name, dest_is_pred, width,
-            srcs, guard, target, cmp, executor,
-        ) = self.program.decoded()[pc]
-        regs = self.regs.values
-        specials = self.specials
-        param_mem = self.param_mem
-        trace = self.trace
-        injection = self.injection
-        bit = injection.bit
-        model = injection.model
-        flip_value = model is FaultModel.VALUE
-        fired = False
-        if model is FaultModel.REGISTER_FILE:
-            reg = injection.reg
-            regs[reg] = _flip_register_value(regs.get(reg, 0), bit)
-            fired = True
-        if guard is not None:
-            zero = to_int(regs.get(guard[0], 0)) & 1
-            executed = (zero == 1) if guard[1] else (zero == 0)
-            if not executed:
-                if trace is not None:
-                    trace.append((pc, 0))
-                return pc + 1, fired, False
-        if trace is not None:
-            trace.append((pc, width))
-        if executor is not None:
-            values = [
-                regs.get(s.name, 0) if type(s) is Reg
-                else s.value if type(s) is Imm
-                else specials[(s.name, s.axis)] if type(s) is Special
-                else param_mem.load(s.offset, dtype)
-                for s in srcs
-            ]
-            value = executor(dtype, *values)
-            if dest_is_pred:
-                value = to_int(value) & 0xF
-            regs[dest_name] = value
-            if flip_value:
-                self._flip_dest(regs, dest_name, dest_is_pred, dtype, bit)
-                fired = True
-            return pc + 1, fired, False
-        if op == "bra":
-            return target, fired, False
-        if op == "ld":
-            value = self._load(regs, srcs[0], dtype)
-            if dest_is_pred:
-                value = to_int(value) & 0xF
-            regs[dest_name] = value
-            if flip_value:
-                self._flip_dest(regs, dest_name, dest_is_pred, dtype, bit)
-                fired = True
-            return pc + 1, fired, False
-        if op == "st":
-            addr_xor = 0
-            if model is FaultModel.STORE_ADDRESS:
-                addr_xor = 1 << bit
-                fired = True
-            self._store(
-                regs, srcs[0], self._value(regs, srcs[1], dtype), dtype, addr_xor
-            )
-            return pc + 1, fired, False
-        if op in ("set", "setp"):
-            a = self._value(regs, srcs[0], dtype)
-            b = self._value(regs, srcs[1], dtype)
-            if dest_is_pred:
-                value = condition_code(cmp, dtype, a, b)
-            else:
-                value = _exec_set_general(dtype, cmp, a, b)
-            regs[dest_name] = value
-            if flip_value:
-                self._flip_dest(regs, dest_name, dest_is_pred, dtype, bit)
-                fired = True
-            return pc + 1, fired, False
-        if op == "selp":
-            pred = srcs[2]
-            if not (type(pred) is Reg and pred.is_pred):
-                raise ExecutionFault("selp selector must be a predicate register")
-            zero = to_int(regs.get(pred.name, 0)) & 1
-            chosen = srcs[0] if zero else srcs[1]
-            value = self._value(regs, chosen, dtype)
-            if dest_is_pred:
-                value = to_int(value) & 0xF
-            regs[dest_name] = value
-            if flip_value:
-                self._flip_dest(regs, dest_name, dest_is_pred, dtype, bit)
-                fired = True
-            return pc + 1, fired, False
-        if op == "bar.sync":
-            self.state = ThreadState.AT_BARRIER
-            return pc + 1, fired, True
-        if op in _EXITS:
-            self.state = ThreadState.EXITED
-            return pc + 1, fired, True
-        if op in _CONTROL:
-            return pc + 1, fired, False
-        raise ExecutionFault(f"unhandled opcode {op!r}")  # pragma: no cover
-
-    def _run_interpreted(self) -> None:
+    def _run_interpreted(self, stop: int | None = None) -> None:
+        """The reference loop; with ``stop``, it also returns once the
+        thread's dynamic-instruction count reaches ``stop`` (the compiled
+        driver's armed instruction)."""
         decoded = self.program.decoded()
         end = len(decoded)
         regs = self.regs.values
@@ -370,6 +268,8 @@ class ThreadContext:
         param_mem = self.param_mem
         trace = self.trace
         max_steps = self.max_steps
+        # ``stop`` shares the hang-budget comparison: no per-instruction cost.
+        limit = max_steps if stop is None else min(stop, max_steps)
         injection = self.injection
         # Injection plan, unpacked per model so the hot loop pays one int
         # comparison for inactive modes.
@@ -400,7 +300,9 @@ class ThreadContext:
                 if pc >= end:
                     self.state = ThreadState.EXITED
                     return
-                if dyn >= max_steps:
+                if dyn >= limit:
+                    if dyn < max_steps:
+                        return
                     raise HangDetected(
                         f"thread exceeded {max_steps} dynamic instructions"
                     )

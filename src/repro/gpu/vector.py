@@ -14,19 +14,24 @@ divergence.  Exactness contract with the interpreter:
   and NaN input;
 * loads/stores resolve through numpy views over the heap, with write logs
   reconstructed from masked scatter records in run-to-barrier slot order,
-  so tracing/pruning inputs stay byte-identical to the classic backends;
-* any lane whose value leaves the exactly-vectorisable envelope (huge
-  integers, NaN in integer stores, out-of-range addresses, ``ex2``/``lg2``
-  libm calls) is demoted for that instruction to a per-lane scalar step
-  with interpreter semantics.
+  so tracing/pruning inputs stay byte-identical to the classic backends.
 
-The run-to-barrier schedule is only observationally equivalent to the
-min-PC lockstep schedule used here when the CTA is data-race-free within
-each barrier segment.  A versioned paint board detects any cross-lane
-overlap on heap or shared bytes and raises :class:`VectorFallback`; the
-simulator then silently re-runs the launch on the classic compiled path,
-so racy programs (the differential fuzzer generates them) keep their
-classic semantics.
+Everything outside that envelope abandons the lockstep attempt with
+:class:`VectorFallback`, and the simulator silently re-runs the launch on
+the classic compiled path.  Three things do:
+
+* an instruction with no exact vector form (``ex2``/``lg2``, whose libm
+  results numpy does not reproduce bit-exactly; predicate-typed ALU and
+  memory ops; a ``selp`` whose selector is not a predicate register);
+* a lane value outside the exact domains (an int/float conversion beyond
+  2**53 or 2**63, NaN into an integer store, f32 store overflow, a float,
+  huge or out-of-range address) — no registry kernel reaches one, so no
+  lane is ever stepped on its own;
+* a race: the run-to-barrier schedule is only observationally equivalent
+  to the min-PC lockstep schedule used here when the CTA is data-race-free
+  within each barrier segment.  A versioned paint board detects any
+  cross-lane overlap on heap or shared bytes, so racy programs (the
+  differential fuzzer generates them) keep their classic semantics.
 
 Fault injection stays exact by demoting only the flip-carrying thread to a
 compiled :class:`~repro.gpu.thread.ThreadContext` for the whole launch;
@@ -39,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ExecutionFault, HangDetected, MemoryFault
-from .alu import condition_code, to_int, _exec_set_general
+from .alu import to_int
 from .isa import (
     DataType,
     Imm,
@@ -51,7 +56,6 @@ from .isa import (
     Reg,
     Special,
 )
-from .memory import encode_value
 from .thread import ThreadState
 from .tracing import (
     ADDRESS_DTYPE,
@@ -65,11 +69,8 @@ from .tracing import (
 __all__ = ["VectorFallback", "VectorProgram"]
 
 _U64_MASK = (1 << 64) - 1
-_U64 = np.uint64
-_I64 = np.int64
 _TWO63 = np.uint64(1 << 63)
 _TWO63F = float(1 << 63)
-_TWO53F = float(1 << 53)
 _ZERO64 = np.uint64(0)
 _ONES64 = np.uint64(_U64_MASK)
 _F32_MAX = float(np.finfo(np.float32).max)
@@ -85,6 +86,12 @@ class VectorFallback(Exception):
     """
 
 
+def _fallback_if(hazard) -> None:
+    """Abandon the lockstep attempt if any lane is outside the envelope."""
+    if hazard.any():
+        raise VectorFallback("lane value outside the exact vector envelope")
+
+
 # ------------------------------------------------------------------ operands
 
 #: Operand kinds after vector decode.
@@ -92,18 +99,13 @@ _K_REG = 0
 _K_CONST = 1
 _K_SPECIAL = 2
 
-#: Instruction kinds (``_Desc.kind``).
-_ALU = 0
-_LD = 1
-_ST = 2
-_SET = 3
-_SELP = 4
-_SLCT = 5
-_BRA = 6
-_BAR = 7
-_EXIT = 8
-_NOP = 9
-_FAULT = 10
+#: Instruction kinds (``_Desc.kind``); ``_OP`` issues through ``_Desc.vop``.
+_OP = 0
+_BRA = 1
+_BAR = 2
+_EXIT = 3
+_NOP = 4
+_FAULT = 5
 
 _VEC_INT_DTYPES = frozenset(
     (DataType.U16, DataType.U32, DataType.S32, DataType.U64, DataType.S64)
@@ -132,20 +134,19 @@ _STORE_NP = {
     DataType.F64: "<f8",
 }
 
-#: Ops whose scalar semantics route through libm / Python-float paths that
-#: numpy does not reproduce bit-exactly on every input.
-_SCALAR_ONLY_OPS = frozenset(("ex2", "lg2"))
-
 
 class _Desc:
-    """One statically decoded instruction, specialised for vector issue."""
+    """One statically decoded instruction, specialised for vector issue.
+
+    An ``_OP`` whose ``vop`` is None has no exact vector form.
+    """
 
     __slots__ = (
         "pc", "op", "kind", "dtype", "width", "trace_width", "wmask", "half",
         "is_signed", "is_float", "f32", "dest_col", "dest_is_pred", "guard_col",
-        "guard_want_one", "srcs", "target", "cmp", "vop", "scalar_only",
+        "guard_want_one", "srcs", "target", "cmp", "vop",
         "space", "base_col", "mem_offset", "mem_size", "np_load", "np_store",
-        "fault_exc", "true_bits", "true_neg", "sel_col", "executor", "raw_srcs",
+        "fault_exc", "true_bits", "true_neg", "sel_col",
     )
 
     def __init__(self, pc: int, op: str) -> None:
@@ -168,7 +169,6 @@ class _Desc:
         self.target = -1
         self.cmp = None
         self.vop = None
-        self.scalar_only = False
         self.space = None
         self.base_col = -1
         self.mem_offset = 0
@@ -179,8 +179,6 @@ class _Desc:
         self.true_bits = _ZERO64
         self.true_neg = False
         self.sel_col = -1
-        self.executor = None
-        self.raw_srcs = ()
 
 
 def _const_operand(value):
@@ -258,14 +256,12 @@ class VectorProgram:
     def _decode_one(self, pc, entry, colmap, param_mem):
         (
             op, dtype, dest_name, dest_is_pred, width,
-            srcs, guard, target, cmp, executor,
+            srcs, guard, target, cmp, _executor,
         ) = entry
         d = _Desc(pc, op)
         d.dtype = dtype
         d.trace_width = width
         d.cmp = cmp
-        d.executor = executor
-        d.raw_srcs = srcs
         d.dest_is_pred = dest_is_pred
         if dest_name is not None:
             d.dest_col = colmap[dest_name]
@@ -294,7 +290,6 @@ class VectorProgram:
             d.kind = _NOP
             return d
 
-        vectorizable = dtype in _VEC_INT_DTYPES or dtype in _VEC_FLOAT_DTYPES
         try:
             d.srcs = tuple(self._operand(s, dtype, colmap, param_mem) for s in srcs)
         except MemoryFault as exc:
@@ -302,41 +297,20 @@ class VectorProgram:
             d.fault_exc = exc
             return d
 
-        if op == "ld":
-            d.kind = _LD
-            src = srcs[0]
-            if type(src) is Param:
-                # Folded above: emit a constant move.
-                d.kind = _ALU
-                d.vop = _vop_const_move
-                d.scalar_only = dest_is_pred or not vectorizable
-                return d
-            if type(src) is not MemRef or dest_is_pred or not vectorizable:
-                d.scalar_only = True
-                return d
-            d.space = src.space
-            d.base_col = colmap[src.base.name] if src.base is not None else -1
-            d.mem_offset = src.offset
-            d.mem_size = dtype.width // 8
-            d.np_load = np.dtype(_LOAD_NP[dtype])
+        # Every ``return`` below that leaves ``d.vop`` None marks an
+        # instruction with no exact vector form.
+        d.kind = _OP
+        if op == "selp":
+            # Copies register cells whatever the dtype; a non-predicate
+            # selector raises on the classic paths.
+            pred = srcs[2]
+            if type(pred) is Reg and pred.is_pred:
+                d.sel_col = colmap[pred.name]
+                d.vop = _vop_selp
             return d
-        if op == "st":
-            d.kind = _ST
-            tgt = srcs[0]
-            if type(tgt) is not MemRef or not vectorizable:
-                d.scalar_only = True
-                return d
-            d.space = tgt.space
-            d.base_col = colmap[tgt.base.name] if tgt.base is not None else -1
-            d.mem_offset = tgt.offset
-            d.mem_size = dtype.width // 8
-            d.np_store = np.dtype(_STORE_NP[dtype])
-            return d
+        if dtype not in _VEC_INT_DTYPES and dtype not in _VEC_FLOAT_DTYPES:
+            return d  # predicate-typed
         if op in ("set", "setp"):
-            d.kind = _SET
-            if not vectorizable:
-                d.scalar_only = True
-                return d
             if not dest_is_pred:
                 # PTX `set` into a general register: all-ones on true, in
                 # the *operation* dtype's integer image (even for float
@@ -346,34 +320,39 @@ class VectorProgram:
                 true_value = canonical_int(-1, dtype)
                 d.true_bits = np.uint64(true_value & _U64_MASK)
                 d.true_neg = true_value < 0
+            d.vop = _vop_set
             return d
-        if op == "selp":
-            d.kind = _SELP
-            pred = srcs[2]
-            if not (type(pred) is Reg and pred.is_pred):
-                d.scalar_only = True  # raises ExecutionFault, per lane
-                return d
-            d.sel_col = colmap[pred.name]
+        if dest_is_pred:
+            return d  # the classic paths mask it to the 4-bit code
+        if op == "ld":
+            src = srcs[0]
+            if type(src) is Param:
+                # Folded above: emit a constant move.
+                d.vop = _vop_const_move
+            elif type(src) is MemRef:
+                d.space = src.space
+                d.base_col = colmap[src.base.name] if src.base is not None else -1
+                d.mem_offset = src.offset
+                d.mem_size = dtype.width // 8
+                d.np_load = np.dtype(_LOAD_NP[dtype])
+                d.vop = _vop_ld
+            return d
+        if op == "st":
+            tgt = srcs[0]
+            if type(tgt) is MemRef:
+                d.space = tgt.space
+                d.base_col = colmap[tgt.base.name] if tgt.base is not None else -1
+                d.mem_offset = tgt.offset
+                d.mem_size = dtype.width // 8
+                d.np_store = np.dtype(_STORE_NP[dtype])
+                d.vop = _vop_st
             return d
         if op == "slct":
-            d.kind = _SLCT
-            if not vectorizable:
-                d.scalar_only = True
+            d.vop = _vop_slct
             return d
-
-        d.kind = _ALU
-        if (
-            executor is None
-            or op in _SCALAR_ONLY_OPS
-            or dest_is_pred
-            or not vectorizable
-        ):
-            d.scalar_only = True
-            return d
-        key = (op, bool(dtype.is_float))
-        d.vop = _VOPS.get(key)
-        if d.vop is None:
-            d.scalar_only = True
+        # ``ex2``/``lg2`` have no entry: their libm results are not
+        # reproduced bit-exactly by numpy on every input.
+        d.vop = _VOPS.get((op, dtype.is_float))
         return d
 
 
@@ -381,157 +360,118 @@ class VectorProgram:
 #
 # Each ``_vop_*`` executes one static instruction for the lane-index array
 # ``idx`` (post-guard, post-trace, dyn already counted), reading operands
-# through the runner's domain readers (which demote hazardous lanes to the
-# scalar path) and returns the surviving lane indices whose pc should
-# advance by one.  Integer math runs in the uint64 bits domain; float math
-# in float64 with explicit double-rounding for f32.
+# through the runner's domain readers, which raise :class:`VectorFallback`
+# for any lane outside the exact envelope; the caller then advances every
+# lane's pc.  Integer math runs in the uint64 bits domain; float math in
+# float64 with explicit double-rounding for f32.
 
 
 def _vop_cvt_int(rn, d, idx):
-    idx, (a,) = rn._operands(d, idx, "b")
-    if idx.size:
-        rn._store_int_bits(d, idx, a)
-    return idx
+    (a,) = rn._operands(d, idx, "b")
+    rn._store_int_bits(d, idx, a)
 
 
 def _vop_cvt_float(rn, d, idx):
-    idx, (a,) = rn._operands(d, idx, "f")
-    if idx.size:
-        rn._store_float(d, idx, rn._fround(d, a))
-    return idx
+    (a,) = rn._operands(d, idx, "f")
+    rn._store_float(d, idx, rn._fround(d, a))
 
 
 def _vop_const_move(rn, d, idx):
     if d.is_float:
-        return _vop_cvt_float(rn, d, idx)
-    return _vop_cvt_int(rn, d, idx)
+        _vop_cvt_float(rn, d, idx)
+    else:
+        _vop_cvt_int(rn, d, idx)
 
 
 def _vop_add_int(rn, d, idx):
-    idx, (a, b) = rn._operands(d, idx, "bb")
-    if idx.size:
-        rn._store_int_bits(d, idx, a + b)
-    return idx
+    a, b = rn._operands(d, idx, "bb")
+    rn._store_int_bits(d, idx, a + b)
 
 
 def _vop_sub_int(rn, d, idx):
-    idx, (a, b) = rn._operands(d, idx, "bb")
-    if idx.size:
-        rn._store_int_bits(d, idx, a - b)
-    return idx
+    a, b = rn._operands(d, idx, "bb")
+    rn._store_int_bits(d, idx, a - b)
 
 
 def _vop_mul_int(rn, d, idx):
-    idx, (a, b) = rn._operands(d, idx, "bb")
-    if idx.size:
-        rn._store_int_bits(d, idx, a * b)
-    return idx
+    a, b = rn._operands(d, idx, "bb")
+    rn._store_int_bits(d, idx, a * b)
 
 
 def _vop_mul_wide(rn, d, idx):
-    idx, (a, b) = rn._operands(d, idx, "bb")
-    if idx.size:
-        m = np.uint64(0xFFFF)
-        rn._store_int_bits(d, idx, (a & m) * (b & m))
-    return idx
+    a, b = rn._operands(d, idx, "bb")
+    m = np.uint64(0xFFFF)
+    rn._store_int_bits(d, idx, (a & m) * (b & m))
 
 
 def _vop_mad_int(rn, d, idx):
-    idx, (a, b, c) = rn._operands(d, idx, "bbb")
-    if idx.size:
-        rn._store_int_bits(d, idx, a * b + c)
-    return idx
+    a, b, c = rn._operands(d, idx, "bbb")
+    rn._store_int_bits(d, idx, a * b + c)
 
 
 def _vop_and(rn, d, idx):
-    idx, (a, b) = rn._operands(d, idx, "bb")
-    if idx.size:
-        rn._store_int_bits(d, idx, a & b)
-    return idx
+    a, b = rn._operands(d, idx, "bb")
+    rn._store_int_bits(d, idx, a & b)
 
 
 def _vop_or(rn, d, idx):
-    idx, (a, b) = rn._operands(d, idx, "bb")
-    if idx.size:
-        rn._store_int_bits(d, idx, a | b)
-    return idx
+    a, b = rn._operands(d, idx, "bb")
+    rn._store_int_bits(d, idx, a | b)
 
 
 def _vop_xor(rn, d, idx):
-    idx, (a, b) = rn._operands(d, idx, "bb")
-    if idx.size:
-        rn._store_int_bits(d, idx, a ^ b)
-    return idx
+    a, b = rn._operands(d, idx, "bb")
+    rn._store_int_bits(d, idx, a ^ b)
 
 
 def _vop_not(rn, d, idx):
-    idx, (a,) = rn._operands(d, idx, "b")
-    if idx.size:
-        rn._store_int_bits(d, idx, ~a)
-    return idx
+    (a,) = rn._operands(d, idx, "b")
+    rn._store_int_bits(d, idx, ~a)
 
 
 def _vop_shl(rn, d, idx):
-    idx, (a, amt) = rn._operands(d, idx, "bl")
-    if idx.size:
-        big = amt >= np.uint64(d.width)
-        safe = np.where(big, _ZERO64, amt)
-        rn._store_int_bits(d, idx, np.where(big, _ZERO64, a << safe))
-    return idx
+    a, amt = rn._operands(d, idx, "bl")
+    big = amt >= np.uint64(d.width)
+    safe = np.where(big, _ZERO64, amt)
+    rn._store_int_bits(d, idx, np.where(big, _ZERO64, a << safe))
 
 
 def _vop_shr(rn, d, idx):
-    idx, (ab, amt) = rn._operands(d, idx, "il" if d.is_signed else "bl")
-    if not idx.size:
-        return idx
+    ab, amt = rn._operands(d, idx, "il" if d.is_signed else "bl")
     big = amt >= np.uint64(d.width)
     if d.is_signed:
         bits, neg = ab
         # The int64 bit-view equals the true value for every lane except
-        # huge non-negative u64 residues, which the reader demoted.
-        haz = ~neg & (bits >= _TWO63)
-        if haz.any():
-            idx = rn._demote(d, idx, haz)
-            keep = ~haz
-            bits, neg, big, amt = bits[keep], neg[keep], big[keep], amt[keep]
-            if not idx.size:
-                return idx
+        # huge non-negative u64 residues.
+        _fallback_if(~neg & (bits >= _TWO63))
         v = bits.view(np.int64)
         safe = np.where(big, _ZERO64, amt).astype(np.int64)
         shifted = (v >> safe).view(np.uint64)
         fill = np.where(v < 0, _ONES64, _ZERO64)
         rn._store_int_bits(d, idx, np.where(big, fill, shifted))
     else:
-        a = ab
         safe = np.where(big, _ZERO64, amt)
-        rn._store_int_bits(d, idx, np.where(big, _ZERO64, (a & d.wmask) >> safe))
-    return idx
+        rn._store_int_bits(d, idx, np.where(big, _ZERO64, (ab & d.wmask) >> safe))
 
 
 def _vop_div_int(rn, d, idx):
-    idx, ((ab, an), (bb, bn)) = rn._operands(d, idx, "ii")
-    if not idx.size:
-        return idx
+    (ab, an), (bb, bn) = rn._operands(d, idx, "ii")
     absa = np.where(an, np.negative(ab), ab)
     absb = np.where(bn, np.negative(bb), bb)
     bz = absb == _ZERO64
     q = absa // np.where(bz, np.uint64(1), absb)
     q = np.where(an ^ bn, np.negative(q), q)
     rn._store_int_bits(d, idx, np.where(bz, _ONES64, q))
-    return idx
 
 
 def _vop_rem_int(rn, d, idx):
-    idx, ((ab, an), (bb, bn)) = rn._operands(d, idx, "ii")
-    if not idx.size:
-        return idx
+    (ab, an), (bb, bn) = rn._operands(d, idx, "ii")
     absa = np.where(an, np.negative(ab), ab)
     absb = np.where(bn, np.negative(bb), bb)
     bz = absb == _ZERO64
     r = absa % np.where(bz, np.uint64(1), absb)
     r = np.where(an, np.negative(r), r)
     rn._store_int_bits(d, idx, np.where(bz, ab, r))
-    return idx
 
 
 def _full_lt(ab, an, bb, bn):
@@ -540,153 +480,121 @@ def _full_lt(ab, an, bb, bn):
 
 
 def _vop_min_int(rn, d, idx):
-    idx, ((ab, an), (bb, bn)) = rn._operands(d, idx, "ii")
-    if idx.size:
-        # Python ``min(a, b)`` returns b only when b < a (first on ties).
-        take_b = _full_lt(bb, bn, ab, an)
-        rn._store_int_bits(d, idx, np.where(take_b, bb, ab))
-    return idx
+    (ab, an), (bb, bn) = rn._operands(d, idx, "ii")
+    # Python ``min(a, b)`` returns b only when b < a (first on ties).
+    take_b = _full_lt(bb, bn, ab, an)
+    rn._store_int_bits(d, idx, np.where(take_b, bb, ab))
 
 
 def _vop_max_int(rn, d, idx):
-    idx, ((ab, an), (bb, bn)) = rn._operands(d, idx, "ii")
-    if idx.size:
-        take_b = _full_lt(ab, an, bb, bn)
-        rn._store_int_bits(d, idx, np.where(take_b, bb, ab))
-    return idx
+    (ab, an), (bb, bn) = rn._operands(d, idx, "ii")
+    take_b = _full_lt(ab, an, bb, bn)
+    rn._store_int_bits(d, idx, np.where(take_b, bb, ab))
 
 
 def _vop_neg_int(rn, d, idx):
-    idx, (a,) = rn._operands(d, idx, "b")
-    if idx.size:
-        rn._store_int_bits(d, idx, np.negative(a))
-    return idx
+    (a,) = rn._operands(d, idx, "b")
+    rn._store_int_bits(d, idx, np.negative(a))
 
 
 def _vop_abs_int(rn, d, idx):
-    idx, ((ab, an),) = rn._operands(d, idx, "i")
-    if idx.size:
-        rn._store_int_bits(d, idx, np.where(an, np.negative(ab), ab))
-    return idx
+    ((ab, an),) = rn._operands(d, idx, "i")
+    rn._store_int_bits(d, idx, np.where(an, np.negative(ab), ab))
 
 
 def _vop_add_float(rn, d, idx):
-    idx, (a, b) = rn._operands(d, idx, "ff")
-    if idx.size:
-        rn._store_float(d, idx, rn._fround(d, a + b))
-    return idx
+    a, b = rn._operands(d, idx, "ff")
+    rn._store_float(d, idx, rn._fround(d, a + b))
 
 
 def _vop_sub_float(rn, d, idx):
-    idx, (a, b) = rn._operands(d, idx, "ff")
-    if idx.size:
-        rn._store_float(d, idx, rn._fround(d, a - b))
-    return idx
+    a, b = rn._operands(d, idx, "ff")
+    rn._store_float(d, idx, rn._fround(d, a - b))
 
 
 def _vop_mul_float(rn, d, idx):
-    idx, (a, b) = rn._operands(d, idx, "ff")
-    if idx.size:
-        rn._store_float(d, idx, rn._fround(d, a * b))
-    return idx
+    a, b = rn._operands(d, idx, "ff")
+    rn._store_float(d, idx, rn._fround(d, a * b))
 
 
 def _vop_mad_float(rn, d, idx):
-    idx, (a, b, c) = rn._operands(d, idx, "fff")
-    if idx.size:
-        product = rn._fround(d, a * b)
-        rn._store_float(d, idx, rn._fround(d, product + c))
-    return idx
+    a, b, c = rn._operands(d, idx, "fff")
+    product = rn._fround(d, a * b)
+    rn._store_float(d, idx, rn._fround(d, product + c))
 
 
 def _vop_div_float(rn, d, idx):
-    idx, (a, b) = rn._operands(d, idx, "ff")
-    if idx.size:
-        # IEEE division reproduces the interpreter's x/±0 → signed-inf
-        # case bit-exactly, but hardware 0/0 and nan/0 NaNs carry the
-        # sign bit / input payload where the interpreter returns the
-        # canonical positive ``math.nan`` — force those lanes.
-        q = np.divide(a, b)
-        bad = (b == 0.0) & ((a == 0.0) | np.isnan(a))
-        if bad.any():
-            q = np.where(bad, np.float64(np.nan), q)
-        rn._store_float(d, idx, rn._fround(d, q))
-    return idx
+    a, b = rn._operands(d, idx, "ff")
+    # IEEE division reproduces the interpreter's x/±0 → signed-inf
+    # case bit-exactly, but hardware 0/0 and nan/0 NaNs carry the
+    # sign bit / input payload where the interpreter returns the
+    # canonical positive ``math.nan`` — force those lanes.
+    q = np.divide(a, b)
+    bad = (b == 0.0) & ((a == 0.0) | np.isnan(a))
+    if bad.any():
+        q = np.where(bad, np.float64(np.nan), q)
+    rn._store_float(d, idx, rn._fround(d, q))
 
 
 def _vop_rem_float(rn, d, idx):
-    idx, (a, b) = rn._operands(d, idx, "ff")
-    if idx.size:
-        # The interpreter returns canonical ``math.nan`` for a zero
-        # divisor, infinite dividend or any NaN operand; C fmod would
-        # propagate input payloads / set the sign bit.
-        r = np.fmod(a, b)
-        bad = (b == 0.0) | np.isinf(a) | np.isnan(a) | np.isnan(b)
-        if bad.any():
-            r = np.where(bad, np.float64(np.nan), r)
-        rn._store_float(d, idx, rn._fround(d, r))
-    return idx
+    a, b = rn._operands(d, idx, "ff")
+    # The interpreter returns canonical ``math.nan`` for a zero
+    # divisor, infinite dividend or any NaN operand; C fmod would
+    # propagate input payloads / set the sign bit.
+    r = np.fmod(a, b)
+    bad = (b == 0.0) | np.isinf(a) | np.isnan(a) | np.isnan(b)
+    if bad.any():
+        r = np.where(bad, np.float64(np.nan), r)
+    rn._store_float(d, idx, rn._fround(d, r))
 
 
 def _vop_min_float(rn, d, idx):
-    idx, (a, b) = rn._operands(d, idx, "ff")
-    if idx.size:
-        nan_a = np.isnan(a)
-        nan_b = np.isnan(b)
-        res = np.where(b < a, b, a)  # first operand on ties (Python min)
-        rn._store_float(d, idx, np.where(nan_a, b, np.where(nan_b, a, res)))
-    return idx
+    a, b = rn._operands(d, idx, "ff")
+    nan_a = np.isnan(a)
+    nan_b = np.isnan(b)
+    res = np.where(b < a, b, a)  # first operand on ties (Python min)
+    rn._store_float(d, idx, np.where(nan_a, b, np.where(nan_b, a, res)))
 
 
 def _vop_max_float(rn, d, idx):
-    idx, (a, b) = rn._operands(d, idx, "ff")
-    if idx.size:
-        nan_a = np.isnan(a)
-        nan_b = np.isnan(b)
-        res = np.where(b > a, b, a)
-        rn._store_float(d, idx, np.where(nan_a, b, np.where(nan_b, a, res)))
-    return idx
+    a, b = rn._operands(d, idx, "ff")
+    nan_a = np.isnan(a)
+    nan_b = np.isnan(b)
+    res = np.where(b > a, b, a)
+    rn._store_float(d, idx, np.where(nan_a, b, np.where(nan_b, a, res)))
 
 
 def _vop_neg_float(rn, d, idx):
-    idx, (a,) = rn._operands(d, idx, "f")
-    if idx.size:
-        rn._store_float(d, idx, np.negative(a))
-    return idx
+    (a,) = rn._operands(d, idx, "f")
+    rn._store_float(d, idx, np.negative(a))
 
 
 def _vop_abs_float(rn, d, idx):
-    idx, (a,) = rn._operands(d, idx, "f")
-    if idx.size:
-        rn._store_float(d, idx, np.fabs(a))
-    return idx
+    (a,) = rn._operands(d, idx, "f")
+    rn._store_float(d, idx, np.fabs(a))
 
 
 def _vop_rcp(rn, d, idx):
-    idx, (a,) = rn._operands(d, idx, "f")
-    if idx.size:
-        # NaN input → canonical ``math.nan`` (the interpreter does not
-        # propagate the input payload); 1/±0 → signed inf matches IEEE.
-        r = np.divide(1.0, a)
-        bad = np.isnan(a)
-        if bad.any():
-            r = np.where(bad, np.float64(np.nan), r)
-        rn._store_float(d, idx, rn._fround(d, r))
-    return idx
+    (a,) = rn._operands(d, idx, "f")
+    # NaN input → canonical ``math.nan`` (the interpreter does not
+    # propagate the input payload); 1/±0 → signed inf matches IEEE.
+    r = np.divide(1.0, a)
+    bad = np.isnan(a)
+    if bad.any():
+        r = np.where(bad, np.float64(np.nan), r)
+    rn._store_float(d, idx, rn._fround(d, r))
 
 
 def _vop_sqrt(rn, d, idx):
-    idx, (a,) = rn._operands(d, idx, "f")
-    if idx.size:
-        # Strictly negative input → canonical ``math.nan`` (hardware
-        # sqrt returns the sign-set indefinite NaN); sqrt(-0.0) is -0.0
-        # and NaN inputs propagate, identically on both paths.
-        s = np.sqrt(a)
-        bad = a < 0.0
-        if bad.any():
-            s = np.where(bad, np.float64(np.nan), s)
-        rn._store_float(d, idx, rn._fround(d, s))
-    return idx
+    (a,) = rn._operands(d, idx, "f")
+    # Strictly negative input → canonical ``math.nan`` (hardware
+    # sqrt returns the sign-set indefinite NaN); sqrt(-0.0) is -0.0
+    # and NaN inputs propagate, identically on both paths.
+    s = np.sqrt(a)
+    bad = a < 0.0
+    if bad.any():
+        s = np.where(bad, np.float64(np.nan), s)
+    rn._store_float(d, idx, rn._fround(d, s))
 
 
 _VOPS = {
@@ -755,9 +663,7 @@ def _int_compare(cmp, ab, an, bb, bn):
 
 def _vop_set(rn, d, idx):
     if d.is_float:
-        idx, (a, b) = rn._operands(d, idx, "ff")
-        if not idx.size:
-            return idx
+        a, b = rn._operands(d, idx, "ff")
         nanm = np.isnan(a) | np.isnan(b)
         res = np.where(nanm, d.cmp == "ne", _NP_COMPARE[d.cmp](a, b))
         if d.dest_is_pred:
@@ -770,10 +676,8 @@ def _vop_set(rn, d, idx):
                 np.where(res, d.true_bits, _ZERO64),
                 res & d.true_neg,
             )
-        return idx
-    idx, ((ab, an), (bb, bn)) = rn._operands(d, idx, "ii")
-    if not idx.size:
-        return idx
+        return
+    (ab, an), (bb, bn) = rn._operands(d, idx, "ii")
     res = _int_compare(d.cmp, ab, an, bb, bn)
     if d.dest_is_pred:
         code = res.astype(np.uint64)
@@ -805,7 +709,6 @@ def _vop_set(rn, d, idx):
             np.where(res, d.true_bits, _ZERO64),
             res & d.true_neg,
         )
-    return idx
 
 
 def _vop_selp(rn, d, idx):
@@ -814,33 +717,23 @@ def _vop_selp(rn, d, idx):
     b = rn._operand_cells(d.srcs[1], idx)
     cells = tuple(np.where(zero, xa, xb) for xa, xb in zip(a, b))
     rn._store_cells(d.dest_col, idx, cells)
-    return idx
 
 
 def _vop_slct(rn, d, idx):
     ge0 = rn._selector_ge0(d.srcs[2], idx)
     if d.is_float:
-        idx2, (a, b), (ge0,) = rn._operands(
-            d, idx, "ff", srcs=d.srcs[:2], carry=(ge0,)
-        )
-        if idx2.size:
-            rn._store_float(d, idx2, rn._fround(d, np.where(ge0, a, b)))
-        return idx2
-    idx2, (a, b), (ge0,) = rn._operands(
-        d, idx, "bb", srcs=d.srcs[:2], carry=(ge0,)
-    )
-    if idx2.size:
-        rn._store_int_bits(d, idx2, np.where(ge0, a, b))
-    return idx2
+        a, b = rn._operands(d, idx, "ff")
+        rn._store_float(d, idx, rn._fround(d, np.where(ge0, a, b)))
+    else:
+        a, b = rn._operands(d, idx, "bb")
+        rn._store_int_bits(d, idx, np.where(ge0, a, b))
 
 
 # ------------------------------------------------------------ memory vops
 
 
 def _vop_ld(rn, d, idx):
-    idx, addr, _ = rn._addresses(d, idx)
-    if not idx.size:
-        return idx
+    addr = rn._addresses(d, idx)
     size = d.mem_size
     pos = addr[:, None] + np.arange(size, dtype=np.int64)
     if d.space == "shared":
@@ -864,42 +757,20 @@ def _vop_ld(rn, d, idx):
         rn._store_cells_int(
             d.dest_col, idx, vals.astype(np.uint64), np.zeros(idx.size, bool)
         )
-    return idx
 
 
 def _vop_st(rn, d, idx):
-    # Value operand first — classic evaluation order puts value-conversion
-    # exceptions (ValueError/OverflowError from encode) before the
-    # address fault, so value hazards must demote before address hazards.
     if d.is_float:
-        f, haz = rn._read_one(d.srcs[1], idx, "f")
+        f = rn._read_one(d.srcs[1], idx, "f")
         if d.f32:
             # struct.pack('<f', x) raises OverflowError for finite
             # |x| > f32max where the vector cast would produce inf.
-            over = np.isfinite(f) & (np.fabs(f) > _F32_MAX)
-            haz = over if haz is None else (haz | over)
-        if haz is not None and haz.any():
-            idx = rn._demote(d, idx, haz)
-            f = f[~haz]
-            if not idx.size:
-                return idx
-        idx, addr, (f,) = rn._addresses(d, idx, carry=(f,))
-        if not idx.size:
-            return idx
-        raw = f.astype(d.np_store).view(np.uint8).reshape(idx.size, d.mem_size)
+            _fallback_if(np.isfinite(f) & (np.fabs(f) > _F32_MAX))
+        image = f.astype(d.np_store)
     else:
-        bits, haz = rn._read_one(d.srcs[1], idx, "s")
-        if haz is not None and haz.any():
-            idx = rn._demote(d, idx, haz)
-            bits = bits[~haz]
-            if not idx.size:
-                return idx
-        idx, addr, (bits,) = rn._addresses(d, idx, carry=(bits,))
-        if not idx.size:
-            return idx
-        raw = (
-            bits.astype(d.np_store).view(np.uint8).reshape(idx.size, d.mem_size)
-        )
+        image = rn._read_one(d.srcs[1], idx, "s").astype(d.np_store)
+    addr = rn._addresses(d, idx)
+    raw = image.view(np.uint8).reshape(idx.size, d.mem_size)
     pos = addr[:, None] + np.arange(d.mem_size, dtype=np.int64)
     if d.space == "shared":
         if rn.paint:
@@ -910,7 +781,6 @@ def _vop_st(rn, d, idx):
             rn._paint_write(rn.heap_board, idx, pos)
         rn.heap_view[pos] = raw
         rn.segment_records.append(("W", idx, addr, raw))
-    return idx
 
 
 # ------------------------------------------------------------ paint boards
@@ -981,7 +851,6 @@ class _VectorCTARunner:
         self.pcs = np.zeros(nlanes, np.int64)
         self.dyn = np.zeros(nlanes, np.int64)
         self.status = np.zeros(nlanes, np.int8)
-        self.specials_list = specials_list
         self.special_u64 = {
             key: np.array(
                 [specials_list[lane][key] for lane in range(nlanes)],
@@ -1009,6 +878,13 @@ class _VectorCTARunner:
     # ----------------------------------------------------------- operands
 
     def _read_one(self, o, idx, mode):
+        """One operand across ``idx`` in read domain ``mode``.
+
+        ``"b"``: int bits mod 2**64; ``"s"``: the same for an integer store
+        image; ``"i"``: ``(bits, negative)`` planes; ``"l"``: the low byte
+        (shift amounts); ``"f"``: float64.  A lane the domain cannot hold
+        exactly raises :class:`VectorFallback`.
+        """
         kind = o[0]
         n = idx.size
         if kind == _K_REG:
@@ -1019,102 +895,75 @@ class _VectorCTARunner:
                 if mode == "f":
                     neg = self.neg[col, idx]
                     mag = np.where(neg, np.negative(bits), bits)
-                    haz = mag > _TWO53U
+                    _fallback_if(mag > _TWO53U)
                     fi = mag.astype(np.float64)
-                    f = np.where(neg, np.negative(fi), fi)
-                    return f, (haz if haz.any() else None)
+                    return np.where(neg, np.negative(fi), fi)
                 if mode == "b" or mode == "s":
-                    return bits, None
+                    return bits
                 if mode == "i":
-                    return (bits, self.neg[col, idx]), None
-                return bits & _LOW8, None
+                    return bits, self.neg[col, idx]
+                return bits & _LOW8
             isf = self.isf[col, idx]
             anyf = isf.any()
             if mode == "f":
                 neg = self.neg[col, idx]
                 mag = np.where(neg, np.negative(bits), bits)
-                haz = ~isf & (mag > _TWO53U)
+                _fallback_if(~isf & (mag > _TWO53U))
                 fi = mag.astype(np.float64)
                 f = np.where(neg, np.negative(fi), fi)
                 if anyf:
                     f = np.where(isf, self.fval[col, idx], f)
-                return f, (haz if haz.any() else None)
+                return f
             if not anyf:
                 if mode == "b" or mode == "s":
-                    return bits, None
+                    return bits
                 if mode == "i":
-                    return (bits, self.neg[col, idx]), None
-                return bits & _LOW8, None
+                    return bits, self.neg[col, idx]
+                return bits & _LOW8
             fv = self.fval[col, idx]
             finite = np.isfinite(fv)
             small = finite & (np.fabs(fv) < _TWO63F)
             ti = np.trunc(np.where(isf & small, fv, 0.0)).astype(np.int64)
             tbits = ti.view(np.uint64)
-            if mode == "b":
-                haz = isf & finite & ~small
-                bits = np.where(isf, tbits, bits)
-                return bits, (haz if haz.any() else None)
+            if mode == "l":
+                # The low byte of trunc(f) is provably zero for every
+                # finite |f| >= 2**63 (53-bit mantissa): no hazard.
+                return np.where(isf, tbits, bits) & _LOW8
             if mode == "s":
                 # int-image store: float lanes with non-finite values
                 # raise ValueError in ``int(value)`` on the classic path.
-                haz = isf & ~small
-                bits = np.where(isf, tbits, bits)
-                return bits, (haz if haz.any() else None)
+                _fallback_if(isf & ~small)
+            else:
+                _fallback_if(isf & finite & ~small)
+            bits = np.where(isf, tbits, bits)
             if mode == "i":
-                haz = isf & finite & ~small
-                neg = self.neg[col, idx]
-                bits = np.where(isf, tbits, bits)
-                neg = np.where(isf, ti < 0, neg)
-                return (bits, neg), (haz if haz.any() else None)
-            # mode == "l": the low byte of trunc(f) is provably zero for
-            # every finite |f| >= 2**63 (53-bit mantissa), so this read
-            # never hazards.
-            return np.where(isf, tbits, bits) & _LOW8, None
+                return bits, np.where(isf, ti < 0, self.neg[col, idx])
+            return bits
         if kind == _K_CONST:
             _, cbits, cneg, cf, cisf = o
             if mode == "f":
-                return np.full(n, cf, np.float64), None
+                return np.full(n, cf, np.float64)
             if mode == "i":
-                return (
-                    np.full(n, cbits, np.uint64),
-                    np.full(n, cneg, bool),
-                ), None
+                return np.full(n, cbits, np.uint64), np.full(n, cneg, bool)
             if mode == "l":
-                return np.full(n, cbits & _LOW8, np.uint64), None
+                return np.full(n, cbits & _LOW8, np.uint64)
             if mode == "s" and cisf and not np.isfinite(cf):
                 # ``int(nan)`` raises on the classic store path while
-                # ``to_int`` folded the immediate to 0 — demote.
-                return np.full(n, cbits, np.uint64), np.ones(n, bool)
-            return np.full(n, cbits, np.uint64), None
+                # ``to_int`` folded the immediate to 0.
+                raise VectorFallback("non-finite immediate into an integer store")
+            return np.full(n, cbits, np.uint64)
         arr = self.special_u64[o[1]][idx]
         if mode == "f":
-            return arr.astype(np.float64), None
+            return arr.astype(np.float64)
         if mode == "i":
-            return (arr, np.zeros(n, bool)), None
+            return arr, np.zeros(n, bool)
         if mode == "l":
-            return arr & _LOW8, None
-        return arr, None
+            return arr & _LOW8
+        return arr
 
-    def _operands(self, d, idx, modes, srcs=None, carry=()):
-        srcs = d.srcs if srcs is None else srcs
-        outs = []
-        haz = None
-        for o, mode in zip(srcs, modes):
-            v, h = self._read_one(o, idx, mode)
-            outs.append(v)
-            if h is not None:
-                haz = h if haz is None else (haz | h)
-        if haz is not None:
-            idx = self._demote(d, idx, haz)
-            keep = ~haz
-            outs = [
-                (v[0][keep], v[1][keep]) if type(v) is tuple else v[keep]
-                for v in outs
-            ]
-            carry = tuple(c[keep] for c in carry)
-        if carry:
-            return idx, outs, carry
-        return idx, outs
+    def _operands(self, d, idx, modes):
+        """``d``'s leading source operands, one per read domain in ``modes``."""
+        return [self._read_one(o, idx, mode) for o, mode in zip(d.srcs, modes)]
 
     def _odd_bit(self, col, idx):
         """``to_int(value) & 1`` as a boolean lane vector (never hazards)."""
@@ -1209,178 +1058,24 @@ class _VectorCTARunner:
         if cells[2].any():
             self.colf[col] = True
 
-    # ------------------------------------------------- scalar lane access
-
-    def _lane_get(self, col, lane):
-        if self.isf[col, lane]:
-            return float(self.fval[col, lane])
-        value = int(self.ibits[col, lane])
-        if self.neg[col, lane]:
-            value -= 1 << 64
-        return value
-
-    def _lane_set(self, col, lane, value):
-        if isinstance(value, float):
-            self.isf[col, lane] = True
-            self.fval[col, lane] = value
-            self.colf[col] = True
-        else:
-            self.isf[col, lane] = False
-            self.ibits[col, lane] = value & _U64_MASK
-            self.neg[col, lane] = value < 0
-
-    # --------------------------------------------------- scalar slow path
-
-    def _demote(self, d, idx, haz):
-        for lane in idx[haz].tolist():
-            self._scalar_op(d, lane)
-        return idx[~haz]
-
-    def _park(self, lane, exc):
-        self.status[lane] = _PARKED
-        self.status_dirty = True
-        self.parked[lane] = exc
-
-    def _scalar_op(self, d, lane):
-        try:
-            self._scalar_op_body(d, lane)
-        except VectorFallback:
-            raise
-        except Exception as exc:  # noqa: BLE001 - classified by the injector
-            self._park(lane, exc)
-        else:
-            self.pcs[lane] += 1
-
-    def _scalar_value(self, s, dtype, lane):
-        kind = type(s)
-        if kind is Reg:
-            return self._lane_get(self.vprog.colmap[s.name], lane)
-        if kind is Imm:
-            return s.value
-        if kind is Special:
-            return self.specials_list[lane][(s.name, s.axis)]
-        if kind is Param:
-            return self.param_mem.load(s.offset, dtype)
-        raise ExecutionFault(f"operand {s!r} not readable here")
-
-    def _scalar_load(self, d, s, lane):
-        if type(s) is Param:
-            return self.param_mem.load(s.offset, d.dtype)
-        if type(s) is MemRef:
-            address = s.offset
-            if s.base is not None:
-                address += to_int(
-                    self._lane_get(self.vprog.colmap[s.base.name], lane)
-                )
-            size = d.dtype.width // 8
-            if s.space == "shared":
-                value = self.shared.load(address, d.dtype)
-                if self.paint and size:
-                    self._paint_read_scalar(self.shared_board, lane, address, size)
-                return value
-            value = self.heap.load(address, d.dtype)
-            if self.paint and size:
-                self._paint_read_scalar(self.heap_board, lane, address, size)
-            if self.record_reads:
-                self.segment_reads.append(
-                    (np.array([lane]), np.array([address]), size)
-                )
-            return value
-        raise ExecutionFault(f"ld source {s!r} is not a memory operand")
-
-    def _scalar_store(self, d, s, lane, value):
-        if type(s) is not MemRef:
-            raise ExecutionFault(f"st target {s!r} is not a memory operand")
-        address = s.offset
-        if s.base is not None:
-            address += to_int(self._lane_get(self.vprog.colmap[s.base.name], lane))
-        if s.space == "shared":
-            self.shared.store(address, value, d.dtype)
-            if self.paint:
-                self._paint_write_scalar(
-                    self.shared_board, lane, address, d.dtype.width // 8
-                )
-            return
-        raw = encode_value(value, d.dtype)
-        self.heap._check(address, len(raw))
-        self.heap._data[address : address + len(raw)] = raw
-        if self.paint:
-            self._paint_write_scalar(self.heap_board, lane, address, len(raw))
-        self.segment_records.append(("w", lane, address, raw))
-
-    def _scalar_op_body(self, d, lane):
-        op = d.op
-        dtype = d.dtype
-        srcs = d.raw_srcs
-        if d.executor is not None:
-            values = [self._scalar_value(s, dtype, lane) for s in srcs]
-            value = d.executor(dtype, *values)
-            if d.dest_is_pred:
-                value = to_int(value) & 0xF
-            self._lane_set(d.dest_col, lane, value)
-            return
-        if op == "ld":
-            value = self._scalar_load(d, srcs[0], lane)
-            if d.dest_is_pred:
-                value = to_int(value) & 0xF
-            self._lane_set(d.dest_col, lane, value)
-            return
-        if op == "st":
-            self._scalar_store(
-                d, srcs[0], lane, self._scalar_value(srcs[1], dtype, lane)
-            )
-            return
-        if op in ("set", "setp"):
-            a = self._scalar_value(srcs[0], dtype, lane)
-            b = self._scalar_value(srcs[1], dtype, lane)
-            if d.dest_is_pred:
-                value = condition_code(d.cmp, dtype, a, b)
-            else:
-                value = _exec_set_general(dtype, d.cmp, a, b)
-            self._lane_set(d.dest_col, lane, value)
-            return
-        if op == "selp":
-            pred = srcs[2]
-            if not (type(pred) is Reg and pred.is_pred):
-                raise ExecutionFault("selp selector must be a predicate register")
-            zero = to_int(self._lane_get(self.vprog.colmap[pred.name], lane)) & 1
-            chosen = srcs[0] if zero else srcs[1]
-            value = self._scalar_value(chosen, dtype, lane)
-            if d.dest_is_pred:
-                value = to_int(value) & 0xF
-            self._lane_set(d.dest_col, lane, value)
-            return
-        raise ExecutionFault(f"unhandled opcode {op!r}")  # pragma: no cover
-
     # --------------------------------------------------------- addressing
 
-    def _addresses(self, d, idx, carry=()):
-        n = idx.size
+    def _addresses(self, d, idx):
+        """Each lane's effective address.
+
+        A float, huge or out-of-range address raises
+        :class:`VectorFallback`: the classic paths own truncation, the
+        fault and its exact heap state.
+        """
         if d.base_col < 0:
-            addr = np.full(n, d.mem_offset, np.int64)
+            addr = np.full(idx.size, d.mem_offset, np.int64)
         else:
             col = d.base_col
+            if self.colf[col]:
+                _fallback_if(self.isf[col, idx])
             bits = self.ibits[col, idx]
-            neg = self.neg[col, idx]
-            isf = self.isf[col, idx]
-            haz = np.zeros(n, bool)
-            if isf.any():
-                fv = self.fval[col, idx]
-                finite = np.isfinite(fv)
-                small = finite & (np.fabs(fv) < _TWO63F)
-                ti = np.trunc(np.where(isf & small, fv, 0.0)).astype(np.int64)
-                haz |= isf & finite & ~small
-                bits = np.where(isf, ti.view(np.uint64), bits)
-                neg = np.where(isf, ti < 0, neg)
             # Margin so ``base + offset`` cannot overflow the int64 view.
-            haz |= ~neg & (bits >= _TWO62)
-            if haz.any():
-                idx = self._demote(d, idx, haz)
-                keep = ~haz
-                bits = bits[keep]
-                carry = tuple(c[keep] for c in carry)
-                if not idx.size:
-                    return idx, bits.view(np.int64), carry
+            _fallback_if(~self.neg[col, idx] & (bits >= _TWO62))
             addr = bits.view(np.int64) + np.int64(d.mem_offset)
         size = d.mem_size
         if d.space == "shared":
@@ -1390,11 +1085,8 @@ class _VectorCTARunner:
             j = np.searchsorted(bases, addr, side="right") - 1
             jn = np.maximum(j, 0)
             ok = (j >= 0) & (addr >= bases[jn]) & (addr + size <= ends[jn])
-        if not ok.all():
-            idx = self._demote(d, idx, ~ok)
-            addr = addr[ok]
-            carry = tuple(c[ok] for c in carry)
-        return idx, addr, carry
+        _fallback_if(~ok)
+        return addr
 
     # -------------------------------------------------------------- paint
 
@@ -1439,13 +1131,12 @@ class _VectorCTARunner:
     # ------------------------------------------------------------- launch
 
     def prepare(
-        self, heap, shared, param_mem, max_steps, tracing,
+        self, heap, shared, max_steps, tracing,
         write_target, record_reads, thread_targets,
     ):
         """Rebind one launch's memories/logs and zero all lane state."""
         self.heap = heap
         self.shared = shared
-        self.param_mem = param_mem
         self.max_steps = max_steps
         self.tracing = tracing
         self.write_target = write_target
@@ -1497,6 +1188,11 @@ class _VectorCTARunner:
 
     # ------------------------------------------------------------ stepping
 
+    def _park(self, lane, exc):
+        self.status[lane] = _PARKED
+        self.status_dirty = True
+        self.parked[lane] = exc
+
     def _step(self, d, idx):
         self.dyn[idx] += 1
         pc = d.pc
@@ -1514,44 +1210,26 @@ class _VectorCTARunner:
         if self.tracing:
             self.trace_chunks.append((idx, pc, d.trace_width))
         kind = d.kind
+        if kind == _OP:
+            if d.vop is None:
+                raise VectorFallback(f"{d.op} has no exact vector form")
+            d.vop(self, d, idx)
+            self.pcs[idx] += 1
+            return
         if kind == _BRA:
             self.pcs[idx] = d.target
-            return
-        if kind == _BAR:
-            self.status[idx] = _AT_BARRIER
-            self.status_dirty = True
-            self.pcs[idx] += 1
-            return
-        if kind == _EXIT:
-            self.status[idx] = _EXITED
-            self.status_dirty = True
-            self.pcs[idx] += 1
-            return
-        if kind == _NOP:
-            self.pcs[idx] += 1
             return
         if kind == _FAULT:
             for lane in idx.tolist():
                 self._park(lane, d.fault_exc)
             return
-        if d.scalar_only:
-            for lane in idx.tolist():
-                self._scalar_op(d, lane)
-            return
-        if kind == _ALU:
-            ok = d.vop(self, d, idx)
-        elif kind == _LD:
-            ok = _vop_ld(self, d, idx)
-        elif kind == _ST:
-            ok = _vop_st(self, d, idx)
-        elif kind == _SET:
-            ok = _vop_set(self, d, idx)
-        elif kind == _SELP:
-            ok = _vop_selp(self, d, idx)
-        else:
-            ok = _vop_slct(self, d, idx)
-        if ok.size:
-            self.pcs[ok] += 1
+        if kind == _BAR:
+            self.status[idx] = _AT_BARRIER
+            self.status_dirty = True
+        elif kind == _EXIT:
+            self.status[idx] = _EXITED
+            self.status_dirty = True
+        self.pcs[idx] += 1
 
     def _run_vector(self):
         """Min-PC lockstep until no vector lane is RUNNING.

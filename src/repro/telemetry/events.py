@@ -68,7 +68,7 @@ class TelemetryEvent:
 class SimRunEvent(TelemetryEvent):
     """One kernel launch over the functional simulator."""
 
-    kind: str  # "golden" | "sliced" | "full"
+    kind: str  # "golden" | "sliced" | "thread-sliced" | "full"
     n_ctas: int
     instructions: int
     barrier_rounds: int
@@ -90,16 +90,16 @@ class InjectionEvent(TelemetryEvent):
     bit: int
     model: str  # FaultModel value: "iov" | "ioa" | "rf"
     outcome: str  # Outcome value: "masked" | "sdc" | "crash" | "hang"
-    fast_path: bool  # classified via the CTA-sliced path (no fallback)
+    fast_path: bool  # classified on a thread or CTA slice (no full re-run)
     duration_s: float
     backend: str = "interpreter"  # the backend that ran; never "auto"
     checkpoint_interval: int = 0  # 0 = checkpointing disabled
     suffix_instructions: int = 0  # instructions actually executed (suffix only)
     #: Effective dynamic instruction count the injection *accounts for*:
-    #: executed suffix + checkpoint-skipped prefix + resync-spliced golden
-    #: suffix.  0 when neither checkpointing nor resync contributed.
+    #: executed suffix + checkpoint-skipped prefix.  Logs written before
+    #: golden-resync splicing was removed also count its spliced suffix.
     effective_instructions: int = 0
-    spliced_instructions: int = 0  # golden suffix reconstructed via resync
+    spliced_instructions: int = 0  # removed resync splicing; 0 in new logs
     phases: dict | None = None  # phase name -> seconds (see PHASE_NAMES)
     worker: str | None = None  # pool worker name; None when serial
     #: Propagation-trace payload (PropagationRecord.to_dict()); None when

@@ -10,8 +10,8 @@ Conventional metric names used across the stack:
 
 * ``sim.launches`` / ``sim.instructions`` / ``sim.barrier_rounds`` /
   ``sim.hangs`` / ``sim.memory_faults`` — simulator counters;
-* ``injections.total`` / ``injections.fast_path`` / ``injections.fallback``
-  — CTA-sliced vs full-re-run split;
+* ``injections.total`` / ``injections.fast_path`` /
+  ``injections.full_rerun`` — sliced vs full-re-run split;
 * ``outcome.masked|sdc|crash|hang`` — classification counts;
 * ``prune.<stage>.sites_after`` / ``prune.<stage>.factor`` — gauges set by
   the progressive pruner;

@@ -23,6 +23,7 @@ from repro import FaultInjector
 from repro.gpu import GPUSimulator, KernelBuilder, LaunchGeometry, pack_params
 from repro.gpu.isa import CMP_OPS
 from repro.kernels.registry import KernelInstance, OutputBuffer
+from repro.telemetry import Telemetry
 
 N_THREADS_PER_CTA = 4
 N_CTAS = 2
@@ -258,8 +259,10 @@ def build_fuzz_instance(seed: int, n_body: int = 48) -> KernelInstance:
     )
 
 
-def _launch(instance: KernelInstance, backend: str, traced: bool = True):
-    sim = GPUSimulator(backend=backend)
+def _launch(
+    instance: KernelInstance, backend: str, traced: bool = True, telemetry=None
+):
+    sim = GPUSimulator(backend=backend, telemetry=telemetry)
     memory = instance.initial_memory.snapshot()
     result = sim.launch(
         instance.program,
@@ -273,6 +276,13 @@ def _launch(instance: KernelInstance, backend: str, traced: bool = True):
     )
     lo, hi = memory.allocation_span()
     return result, bytes(memory.raw_window(lo, hi))
+
+
+def _issued_ops(instance: KernelInstance) -> set[str]:
+    """Opcodes some thread issues with its guard on, per the interpreter."""
+    traces = _launch(instance, "interpreter")[0].traces
+    insns = instance.program.instructions
+    return {insns[pc].op for pc in traces.pcs[traces.widths > 0].tolist()}
 
 
 def _read_log_lists(result):
@@ -291,7 +301,8 @@ def _read_log_lists(result):
 def test_fuzzed_programs_execute_identically(seed, backend, traced):
     instance = build_fuzz_instance(seed)
     ref, ref_heap = _launch(instance, "interpreter", traced)
-    got, got_heap = _launch(instance, backend, traced)
+    telemetry = Telemetry()
+    got, got_heap = _launch(instance, backend, traced, telemetry)
     assert got.traces == ref.traces
     assert got.cta_write_logs == ref.cta_write_logs
     assert _read_log_lists(got) == _read_log_lists(ref)
@@ -301,6 +312,13 @@ def test_fuzzed_programs_execute_identically(seed, backend, traced):
     # The heap includes the register-dump epilogue: every general register,
     # float register and predicate of every thread.
     assert got_heap == ref_heap
+    # Fuzzed threads touch only their own slices, so only an issued
+    # ``ex2``/``lg2`` (no exact vector form) may send the launch to the
+    # compiled path; any other fallback would pass the equalities above
+    # untested.
+    if backend == "vectorized":
+        libm = bool(_issued_ops(instance) & {"ex2", "lg2"})
+        assert telemetry.metrics.counter_value("vector.fallbacks") == libm
 
 
 @pytest.mark.parametrize("backend", ["compiled", "vectorized"])

@@ -4,13 +4,14 @@ The compiled driver runs a whole basic block per iteration and falls
 back to single steps wherever a block would run past a boundary it must
 observe: the hang budget, a checkpoint capture, the armed injection — and
 after a resume lands mid-block.  A block that raises must leave ``pc`` on
-the faulting instruction with the dynamic count including it.  Each case
-below runs a fixed program on *untraced* launches (where blocks run),
-places the boundary at every dynamic index — so many land strictly
-inside a block — and compares the compiled backend with the interpreter.
-Every case also runs with the shared scratchpad behind the vectorized
-backend's recording proxy, which the generated code must reach through
-its method calls.
+the faulting instruction with the dynamic count including it, and an
+armed instruction that blocks (a barrier, an exit) must return there.
+Each case below runs a fixed program on *untraced* launches (where
+blocks run), places the boundary at every dynamic index — so many land
+strictly inside a block — and compares the compiled backend with the
+interpreter.  Every case but the blocking one also runs with the shared
+scratchpad behind the vectorized backend's recording proxy, which the
+generated code must reach through its method calls.
 """
 
 from __future__ import annotations
@@ -265,3 +266,49 @@ def test_checkpoint_captures_off_block_grid(every, recording):
             return _observe(ctx, memory, shared, painter)
 
         assert resumed("compiled") == resumed("interpreter"), dyn
+
+
+def test_armed_instruction_that_blocks():
+    """(d) The armed instruction can itself block: a register-file flip
+    striking a ``bar.sync`` or a mid-program ``exit`` returns there, as
+    the interpreter does, and the next call resumes after it."""
+    k = KernelBuilder("armed_block")
+    t, x = k.reg("t"), k.reg("x")
+    k.cvt("u32", t, k.tid.x)
+    k.add("u32", x, t, 1)
+    k.bar()
+    k.mul("u32", x, x, 3)
+    k.add("u32", x, x, t)
+    k.bar()
+    k.exit()
+    k.add("u32", x, x, 7)  # unreachable: the thread exits above
+    k.retp()
+    program = k.build()
+    param_mem = ParamMemory(b"")
+
+    def stops(backend, spec):
+        ctx = ThreadContext(
+            program, GEOMETRY.specials_for(0, SLOT), MEMORY.snapshot(), None,
+            param_mem, max_steps=100, injection=spec,
+            compiled=program.compiled(param_mem) if backend == "compiled" else None,
+        )
+        seen = []
+        while True:  # the CTA scheduler's view: release at each barrier
+            ctx.run_until_block()
+            seen.append((ctx.state, ctx.pc, ctx.dyn_count, dict(ctx.regs.values)))
+            if ctx.state is ThreadState.EXITED:
+                return seen, ctx.injection
+            ctx.state = ThreadState.RUNNING
+
+    golden, _ = stops("interpreter", None)
+    length = golden[-1][2]
+    # Straight-line code, so the dynamic index is the pc: the flips below
+    # strike both barriers and the exit among the other instructions.
+    assert length == 7
+    ops = [program.instructions[pc].op for pc in (2, 5, 6)]
+    assert ops == ["bar.sync", "bar.sync", "exit"]
+    for dyn in range(length):
+        spec = InjectionSpec(dyn, 4, FaultModel.REGISTER_FILE, reg=x.name)
+        got = stops("compiled", spec)
+        assert got == stops("interpreter", spec), dyn
+        assert got[1] is None, dyn  # the flip fired

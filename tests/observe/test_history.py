@@ -14,6 +14,7 @@ from repro.observe.history import (
     load_history,
     write_suite_snapshot,
 )
+from repro.telemetry.manifest import git_revision
 
 
 def _seed(results_dir, values, metric="wall_s", direction="lower"):
@@ -31,7 +32,7 @@ class TestRecords:
             unit="s", direction="lower", config={"bits": 4},
         )
         assert record["schema"] == HISTORY_SCHEMA_VERSION
-        assert record["git_rev"]  # stamped from the repo
+        assert record["git_rev"] == git_revision()  # None outside a checkout
         lines = (tmp_path / "history.jsonl").read_text().splitlines()
         assert json.loads(lines[0])["value"] == 1.5
         assert json.loads(lines[0])["config"] == {"bits": 4}
