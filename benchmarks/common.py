@@ -15,11 +15,6 @@ Two cost profiles:
 worker processes (see :mod:`repro.parallel`); results are identical to
 serial runs, only the wall clock changes.
 
-``REPRO_BENCH_CHECKPOINT_INTERVAL=K`` sets the checkpointed fast-forward
-interval (snapshot every K dynamic instructions; 0 = disabled; ``auto`` —
-the default — derives K per kernel from trace depth) — again bit-for-bit
-identical results, only faster deep injections.
-
 ``REPRO_BENCH_BACKEND={interpreter,compiled,vectorized,auto}`` selects
 the execution backend every harness-built injector uses (identical
 outcomes; the compiled basic-block backend is faster per thread, the
@@ -56,11 +51,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
 WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-CHECKPOINT_INTERVAL: int | str = os.environ.get(
-    "REPRO_BENCH_CHECKPOINT_INTERVAL", "auto"
-)
-if CHECKPOINT_INTERVAL != "auto":
-    CHECKPOINT_INTERVAL = int(CHECKPOINT_INTERVAL)
 BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "interpreter")
 
 
@@ -99,11 +89,7 @@ _baselines: dict[tuple, CampaignResult] = {}
 
 def injector_for(key: str) -> FaultInjector:
     if key not in _injectors:
-        _injectors[key] = FaultInjector(
-            load_instance(key),
-            checkpoint_interval=CHECKPOINT_INTERVAL,
-            backend=BACKEND,
-        )
+        _injectors[key] = FaultInjector(load_instance(key), backend=BACKEND)
     return _injectors[key]
 
 
@@ -150,7 +136,6 @@ def emit(name: str, text: str) -> None:
             **asdict(SETTINGS),
             "full": FULL,
             "workers": WORKERS,
-            "checkpoint_interval": CHECKPOINT_INTERVAL,
             "backend": BACKEND,
         },
         seed=SETTINGS.seed,
@@ -164,7 +149,6 @@ def bench_config() -> dict:
         **asdict(SETTINGS),
         "full": FULL,
         "workers": WORKERS,
-        "checkpoint_interval": CHECKPOINT_INTERVAL,
         "backend": BACKEND,
     }
 

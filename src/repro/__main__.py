@@ -48,7 +48,6 @@ import sys
 import time
 
 from . import (
-    BACKENDS,
     FaultInjector,
     ProgressivePruner,
     all_kernels,
@@ -65,6 +64,10 @@ from .telemetry import (
     RunManifest,
     Telemetry,
 )
+
+#: User-facing ``--backend`` values.  The compiled and vectorized backends
+#: are what ``auto`` picks; only the library API forces them.
+BACKEND_CHOICES = ("auto", "interpreter")
 
 
 def _add_instrumentation_args(sub: argparse.ArgumentParser) -> None:
@@ -101,23 +104,13 @@ def _add_instrumentation_args(sub: argparse.ArgumentParser) -> None:
         "(default: fork where available)",
     )
     sub.add_argument(
-        "--checkpoint-interval",
-        metavar="K",
-        default="auto",
-        help="snapshot golden state every K dynamic instructions and "
-        "fast-forward injections past their golden prefix (0 = disabled, "
-        "'auto' = derive per kernel from trace depth; profiles are "
-        "identical either way)",
-    )
-    sub.add_argument(
         "--backend",
-        choices=("auto", *BACKENDS),
+        choices=BACKEND_CHOICES,
         default="auto",
         help="execution backend: 'auto' (default) picks vectorized for CTAs "
         f"of {VECTORIZED_MIN_LANES}+ threads and compiled for narrower ones; "
-        "or force the reference interpreter, the compiled basic-block "
-        "backend or the vectorized lane-parallel backend (outcomes are "
-        "identical on all of them; manifests record the backend that ran)",
+        "'interpreter' forces the reference interpreter (outcomes are "
+        "identical either way; manifests record the backend that ran)",
     )
     sub.add_argument(
         "--propagation",
@@ -278,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--backend",
-        choices=("auto", *BACKENDS),
+        choices=BACKEND_CHOICES,
         default="auto",
         help="execution backend for the classification and the trace "
         "('auto' decides from the CTA width, as for profile)",
@@ -357,26 +350,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _checkpoint_kwargs(args) -> dict:
-    """Injector keyword arguments for the checkpoint/backend flags."""
-    interval = args.checkpoint_interval
-    if interval != "auto":
-        interval = int(interval)
-    return {
-        "checkpoint_interval": interval,
-        "backend": args.backend,
-        "propagation": args.propagation,
-    }
-
-
 def _build_injector(args, telemetry, manifest: RunManifest | None) -> FaultInjector:
-    """The campaign's injector; the manifest records the backend that ran
-    (``auto`` resolves per kernel, so the flag alone does not say)."""
+    """The campaign's injector; the manifest records the backend and the
+    checkpoint interval that ran (both resolve per kernel)."""
     injector = FaultInjector(
-        load_instance(args.kernel), telemetry=telemetry, **_checkpoint_kwargs(args)
+        load_instance(args.kernel),
+        telemetry=telemetry,
+        backend=args.backend,
+        propagation=args.propagation,
     )
     if manifest is not None:
         manifest.config["backend"] = injector.backend
+        manifest.config["checkpoint_interval"] = injector.checkpoint_interval
     return injector
 
 
@@ -539,7 +524,6 @@ def cmd_profile(args) -> int:
                 "bits": args.bits,
                 "seed": args.seed,
                 "workers": args.workers,
-                "checkpoint_interval": args.checkpoint_interval,
                 "backend": args.backend,
                 "propagation": args.propagation,
                 "audit_groups": args.audit_groups,
@@ -611,7 +595,6 @@ def cmd_baseline(args) -> int:
                 "seed": args.seed,
                 "runs": n,
                 "workers": args.workers,
-                "checkpoint_interval": args.checkpoint_interval,
                 "backend": args.backend,
                 **_live_config(args),
             },
@@ -657,7 +640,6 @@ def cmd_stages(args) -> int:
                 "loop_iters": args.loop_iters,
                 "bits": args.bits,
                 "workers": args.workers,
-                "checkpoint_interval": args.checkpoint_interval,
                 "backend": args.backend,
             },
             events_path=args.telemetry_out,
@@ -692,7 +674,6 @@ def cmd_metrics(args) -> int:
                 "runs": args.runs,
                 "seed": args.seed,
                 "workers": args.workers,
-                "checkpoint_interval": args.checkpoint_interval,
                 "backend": args.backend,
                 **_live_config(args),
             },

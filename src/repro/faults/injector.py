@@ -43,7 +43,8 @@ Outcome classification (paper Section II-B):
 * ``MASKED`` — output image identical to golden;
 * ``SDC``    — run completed, output differs;
 * ``CRASH``  — a memory fault aborted the run;
-* ``HANG``   — a thread exceeded ``hang_factor`` x its golden iCnt budget.
+* ``HANG``   — a thread exceeded :data:`DEFAULT_HANG_FACTOR` x its golden
+  iCnt budget.
 """
 
 from __future__ import annotations
@@ -130,8 +131,6 @@ class FaultInjector:
     def __init__(
         self,
         instance: KernelInstance,
-        hang_factor: int = DEFAULT_HANG_FACTOR,
-        verify_golden: bool = True,
         telemetry: Telemetry | None = None,
         thread_slicing: bool = True,
         checkpoint_interval: int | str = "auto",
@@ -140,7 +139,6 @@ class FaultInjector:
         propagation: bool = False,
     ) -> None:
         self.instance = instance
-        self.hang_factor = hang_factor
         self.thread_slicing = thread_slicing  # the requested flag, as given
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         # Resolved before the golden run: ``self.backend`` is always the
@@ -170,8 +168,6 @@ class FaultInjector:
         if golden is not None:
             # Worker handoff: adopt shipped golden artifacts and rebuild
             # the final heap from the CTA write logs — no golden launch.
-            if self._slicing_enabled and golden.cta_read_logs is None:
-                self._slicing_enabled = False  # shipped state lacks read logs
             with self.telemetry.span("golden-restore"):
                 golden_memory = instance.golden_memory()
                 for log in golden.cta_write_logs:
@@ -191,8 +187,7 @@ class FaultInjector:
                     record_read_logs=self._slicing_enabled,
                     record_thread_write_logs=self._slicing_enabled,
                 )
-                if verify_golden:
-                    instance.verify_reference(golden_memory)
+                instance.verify_reference(golden_memory)
             self.traces = result.traces
 
         # Checkpointed fast-forwarding: interval 0 disables the layer and
@@ -221,7 +216,7 @@ class FaultInjector:
         self._cta_read_logs = result.cta_read_logs
         geometry = instance.geometry
         cta_icnt = self.traces.icnt.reshape(geometry.n_ctas, geometry.threads_per_cta)
-        self._cta_budget = (self.hang_factor * cta_icnt.max(axis=1) + 256).tolist()
+        self._cta_budget = (DEFAULT_HANG_FACTOR * cta_icnt.max(axis=1) + 256).tolist()
         self.fallback_count = 0  # full re-executions forced by write overlap
 
         self._build_ownership_masks(result)

@@ -57,15 +57,6 @@ def _binary_int(fn: Callable[[int, int], int]):
     return run
 
 
-def _arith(int_fn: Callable[[int, int], int], float_fn: Callable[[float, float], float]):
-    def run(dtype: DataType, a: Number, b: Number) -> Number:
-        if dtype.is_float:
-            return _round(float_fn(to_float(a), to_float(b)), dtype)
-        return _wrap(int_fn(to_int(a), to_int(b)), dtype)
-
-    return run
-
-
 def _exec_add(dtype, a, b):
     if dtype.is_float:
         return _round(to_float(a) + to_float(b), dtype)

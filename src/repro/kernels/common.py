@@ -32,23 +32,6 @@ def emit_global_xy(
     k.add("u32", dest_y, dest_y, scratch)
 
 
-def emit_row_major_addr(
-    k: KernelBuilder,
-    dest: Reg,
-    row: Reg,
-    col: Reg | int,
-    ncols: int,
-    base_param,
-    scratch: Reg,
-) -> None:
-    """dest = base + 4 * (row * ncols + col) for a row-major f32/u32 matrix."""
-    k.mul("u32", dest, row, ncols)
-    k.add("u32", dest, dest, col)
-    k.shl("u32", dest, dest, 2)
-    k.ld("u32", scratch, base_param)
-    k.add("u32", dest, dest, scratch)
-
-
 def f32(value) -> np.float32:
     return np.float32(value)
 

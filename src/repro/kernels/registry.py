@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ReproError
-from ..gpu import GlobalMemory, GPUSimulator, LaunchGeometry, Program
+from ..gpu import GlobalMemory, LaunchGeometry, Program
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,3 @@ def all_kernels() -> list[KernelSpec]:
 def load_instance(key: str, scale: str = "sim") -> KernelInstance:
     """One-call convenience: build the staged instance for a kernel key."""
     return get_kernel(key).build(scale)
-
-
-def fresh_simulator(heap_bytes: int = 1 << 20) -> GPUSimulator:
-    return GPUSimulator(heap_bytes)

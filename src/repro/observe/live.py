@@ -360,13 +360,6 @@ class LiveAggregator:
             return None
         return max(total - done, 0) / rate
 
-    def is_converged(self) -> bool:
-        if self.until_ci is None:
-            return False
-        return check_convergence(
-            self.outcome_counts, self.done, self.until_ci, self.confidence
-        )
-
     def _tertile_rows(self) -> list[dict]:
         if not self._reservoir:
             return []

@@ -4,13 +4,14 @@ Fault injections are embarrassingly parallel: each one is an independent
 sliced re-execution against immutable golden state.  This module fans a
 campaign's sites out over a pool of worker processes, each of which
 builds its own :class:`~repro.faults.FaultInjector` **once** (in the pool
-initializer, amortising the golden run over the worker's lifetime) and
-then classifies chunks of sites.
+initializer, from the parent's golden state) and then classifies chunks
+of sites.
 
-Determinism guarantee: outcomes stream back to the caller in exact site
-order regardless of which worker finished first, the parent applies the
-site weights itself, and every worker classifies with the same injector
-the serial path would use — so for a fixed seed the resulting
+Determinism guarantee: every executor runs sites in the order they
+arrive and outcomes stream back to the caller in exact site order
+regardless of which worker finished first, the parent applies the site
+weights itself, and every worker classifies with the same injector the
+serial path would use — so for a fixed seed the resulting
 :class:`~repro.faults.ResilienceProfile` is byte-identical to a serial
 run, and worker ``fallback_count`` deltas sum to the serial total.
 
@@ -27,9 +28,9 @@ injection raises, :func:`_inject` leaves the crash context (worker,
 site, traceback, the chunk's unshipped events) on the exception, which
 rides the same result path back.
 
-Degradation: ``workers <= 1``, an unpicklable kernel instance, or a
-platform without usable process pools all fall back to the serial
-in-process path — same results, no pool.
+Degradation: ``workers <= 1``, an unpicklable kernel instance or golden
+state, or a platform without usable process pools all fall back to the
+serial in-process path — same results, no pool.
 
 See ``docs/performance.md`` for measured scaling and chunk-size guidance.
 """
@@ -61,12 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> parallel)
 #: that a pool stays busy near a campaign's tail.
 DEFAULT_CHUNK_SIZE = 32
 
-#: Default serial ordering-batch size when the injector checkpoints: sites
-#: are buffered in windows of this many, *executed* sorted by
-#: ``(thread, dyn_index)`` so consecutive injections share warm snapshots,
-#: and *emitted* in original order so profiles stay byte-identical.
-DEFAULT_ORDER_BATCH = 64
-
 
 def _inject(injector, site, worker: str = "serial"):
     """One injection; a failure carries its crash context to the parent.
@@ -96,75 +91,19 @@ def _inject(injector, site, worker: str = "serial"):
         raise
 
 
-def _ordered_outcomes(
-    injector: "FaultInjector", sites: list["FaultSite"], worker: str = "serial"
-) -> list["Outcome"]:
-    """Classify ``sites`` sorted by ``(thread, dyn_index)``; return them
-    in original order.
-
-    Sorting maximises checkpoint locality (each deeper site of a thread
-    resumes from snapshots its shallower predecessors just stored), and is
-    outcome-safe: injections share no mutable state beyond the checkpoint
-    store, which holds only golden snapshots, so per-site outcomes are
-    independent of execution order.
-    """
-    order = sorted(
-        range(len(sites)), key=lambda i: (sites[i].thread, sites[i].dyn_index)
-    )
-    outcomes: list = [None] * len(sites)
-    for i in order:
-        outcomes[i] = _inject(injector, sites[i], worker)
-    return outcomes
-
-
 class SerialExecutor:
-    """The in-process reference executor: inject sites one by one.
-
-    ``order_batch`` controls the checkpoint-locality ordering stage:
-    ``None`` (the default) auto-enables :data:`DEFAULT_ORDER_BATCH`-site
-    windows when the injector has a checkpoint store and stays fully
-    streaming otherwise; ``0`` disables ordering; any positive value sets
-    the window size explicitly.  Outcomes always stream back in exact
-    input order.
-    """
+    """The in-process reference executor: inject each site as it arrives
+    and yield its outcome at once."""
 
     workers = 1
-
-    def __init__(self, order_batch: int | None = None) -> None:
-        if order_batch is not None and order_batch < 0:
-            raise ValueError("order_batch must be >= 0")
-        self.order_batch = order_batch
 
     def imap(
         self,
         injector: "FaultInjector",
         pairs: Iterable[tuple["FaultSite", float]],
     ) -> Iterator[tuple["FaultSite", float, "Outcome"]]:
-        batch = self.order_batch
-        if batch is None:
-            batch = (
-                DEFAULT_ORDER_BATCH
-                if getattr(injector, "checkpoints", None) is not None
-                else 0
-            )
-        if batch <= 1:
-            for site, weight in pairs:
-                yield site, weight, _inject(injector, site)
-            return
-        window: list[tuple] = []
-        for pair in pairs:
-            window.append(pair)
-            if len(window) >= batch:
-                yield from self._drain(injector, window)
-                window = []
-        if window:
-            yield from self._drain(injector, window)
-
-    @staticmethod
-    def _drain(injector, window):
-        outcomes = _ordered_outcomes(injector, [site for site, _w in window])
-        for (site, weight), outcome in zip(window, outcomes):
-            yield site, weight, outcome
+        for site, weight in pairs:
+            yield site, weight, _inject(injector, site)
 
 
 # ----------------------------------------------------------- worker side
@@ -181,11 +120,11 @@ def _build_payload(injector: "FaultInjector") -> dict | None:
 
     Registered kernels travel as their registry key (workers rebuild the
     deterministic instance themselves — cheap and always picklable);
-    ad-hoc instances travel pickled.  ``None`` means the injector cannot
-    cross a process boundary and the campaign must run serially.
+    ad-hoc instances travel pickled, and so does the golden state, so
+    workers never launch golden themselves.  ``None`` means the injector
+    cannot cross a process boundary and the campaign must run serially.
     """
     payload: dict = {
-        "hang_factor": injector.hang_factor,
         "thread_slicing": injector.thread_slicing,
         "instrumented": injector.telemetry.enabled,
         # Ship the *resolved* interval: "auto" was already collapsed to a
@@ -200,8 +139,8 @@ def _build_payload(injector: "FaultInjector") -> dict | None:
         # Golden handoff: workers rebuild the final heap from these logs
         # instead of each re-running a traced-and-logged golden launch.
         payload["golden"] = pickle.dumps(injector.golden_state())
-    except Exception:  # pragma: no cover - exotic unpicklable golden data
-        pass  # workers fall back to running their own golden capture
+    except Exception:
+        return None
     spec = injector.instance.spec
     if spec is not None:
         from .kernels.registry import get_kernel
@@ -234,18 +173,15 @@ def _init_worker(payload: dict) -> None:
         instance = load_instance(payload["kernel"])
     else:
         instance = pickle.loads(payload["instance"])
-    golden = pickle.loads(payload["golden"]) if "golden" in payload else None
     _WORKER_INJECTOR = FaultInjector(
         instance,
-        hang_factor=payload["hang_factor"],
-        verify_golden=False,  # the parent already verified this instance
         telemetry=(
             Telemetry(sink=MemorySink()) if payload["instrumented"] else NULL_TELEMETRY
         ),
         thread_slicing=payload["thread_slicing"],
         checkpoint_interval=payload["checkpoint_interval"],
         backend=payload["backend"],
-        golden=golden,
+        golden=pickle.loads(payload["golden"]),
         propagation=payload["propagation"],
     )
 
@@ -266,13 +202,7 @@ def _run_chunk(
         )
     busy_t0 = time.perf_counter()
     fallbacks_before = injector.fallback_count
-    if injector.checkpoints is not None:
-        # Execute the chunk in (thread, dyn_index) order for checkpoint
-        # locality; the returned outcome list stays in input order, so the
-        # parent's in-order drain (and therefore the profile) is unchanged.
-        outcomes = [o.value for o in _ordered_outcomes(injector, sites, name)]
-    else:
-        outcomes = [_inject(injector, site, name).value for site in sites]
+    outcomes = [_inject(injector, site, name).value for site in sites]
     fallback_delta = injector.fallback_count - fallbacks_before
     snapshot = None
     if telemetry.enabled:
@@ -306,8 +236,9 @@ class ParallelCampaignRunner:
         start_method: multiprocessing start method (``"fork"``/``"spawn"``/
             ``"forkserver"``); default prefers ``fork`` where available
             (cheap worker start) and falls back to the platform default.
-        max_pending: in-flight task bound; defaults to ``4 * workers`` so
-            site iterables stream instead of materialising.
+
+    At most ``4 * workers`` chunks are in flight, so site iterables stream
+    instead of materialising.
     """
 
     def __init__(
@@ -316,14 +247,12 @@ class ParallelCampaignRunner:
         *,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         start_method: str | None = None,
-        max_pending: int | None = None,
     ) -> None:
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         self.workers = workers
         self.chunk_size = chunk_size
         self.start_method = start_method
-        self.max_pending = max_pending if max_pending is not None else 4 * max(workers, 1)
 
     def _context(self):
         if self.start_method is not None:
@@ -373,7 +302,7 @@ class ParallelCampaignRunner:
             pool.join()
 
     def _drive(self, pool, injector, pairs, telemetry):
-        """Submit chunks up to ``max_pending``; drain strictly in order."""
+        """Keep ``4 * workers`` chunks in flight; drain strictly in order."""
         from .faults.outcome import Outcome
 
         pending: deque = deque()
@@ -398,7 +327,7 @@ class ParallelCampaignRunner:
             pending.append(
                 (chunk, pool.apply_async(_run_chunk, (sites, submitted_at)))
             )
-            if len(pending) >= self.max_pending:
+            if len(pending) >= 4 * self.workers:
                 yield from drain_one()
         while pending:
             yield from drain_one()

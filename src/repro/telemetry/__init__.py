@@ -118,11 +118,6 @@ class Telemetry:
         #: absorbed worker events included; the live plane attaches here.
         self.listener = None
 
-    @classmethod
-    def to_jsonl(cls, path, flush_each: bool = False) -> "Telemetry":
-        """Telemetry streaming its events to a JSONL file."""
-        return cls(sink=JsonlSink(path, flush_each=flush_each))
-
     def emit(self, event: TelemetryEvent) -> None:
         self.sink.emit(event)
         if self.listener is not None:
@@ -225,11 +220,6 @@ class NullTelemetry(Telemetry):
 NULL_TELEMETRY = NullTelemetry()
 
 
-def coalesce(telemetry: Telemetry | None) -> Telemetry:
-    """``telemetry`` or the shared null instance."""
-    return telemetry if telemetry is not None else NULL_TELEMETRY
-
-
 __all__ = [
     "EVENTS_SCHEMA_VERSION",
     "EVENT_TYPES",
@@ -258,7 +248,6 @@ __all__ = [
     "StageEvent",
     "Telemetry",
     "TelemetryEvent",
-    "coalesce",
     "event_from_dict",
     "event_to_dict",
     "git_revision",

@@ -2,7 +2,7 @@
 
 The contract under test (see ``docs/performance.md``): for the same seed,
 a campaign with checkpointing enabled — any interval, any memory budget,
-serial or parallel, ordered or streamed — produces byte-identical
+serial or parallel — produces byte-identical
 outcomes, profile weights, ``fallback_count`` and ``injections.*`` /
 ``outcome.*`` telemetry counters to the full-prefix reference path.
 """
@@ -17,7 +17,7 @@ import pytest
 from repro import FaultInjector, load_instance, random_campaign
 from repro.gpu import GPUSimulator
 from repro.gpu.checkpoint import CheckpointPlan, CheckpointStore, ThreadCheckpoint
-from repro.parallel import ParallelCampaignRunner, SerialExecutor
+from repro.parallel import ParallelCampaignRunner
 from repro.telemetry import InjectionEvent, MemorySink, Telemetry
 
 from ..helpers import build_loop_sum_instance
@@ -29,7 +29,7 @@ N_SITES = 48
 SEED = 11
 
 
-def _campaign(key, interval, workers=1, budget_mb=None, order_batch=None):
+def _campaign(key, interval, workers=1, budget_mb=None):
     """One instrumented campaign; returns (injector, result, counters).
 
     ``budget_mb`` installs a checkpoint store of that budget on the
@@ -43,14 +43,11 @@ def _campaign(key, interval, workers=1, budget_mb=None, order_batch=None):
     )
     if budget_mb is not None:
         injector.checkpoints = CheckpointStore(int(budget_mb * (1 << 20)))
-    if workers > 1:
-        executor = ParallelCampaignRunner(
-            workers, chunk_size=8, start_method=START_METHOD
-        )
-    elif order_batch is not None:
-        executor = SerialExecutor(order_batch=order_batch)
-    else:
-        executor = None
+    executor = (
+        ParallelCampaignRunner(workers, chunk_size=8, start_method=START_METHOD)
+        if workers > 1
+        else None
+    )
     result = random_campaign(injector, N_SITES, rng=SEED, executor=executor)
     counters = {
         name: value
@@ -96,18 +93,10 @@ class TestEquivalence:
         assert candidate[0].checkpoints.stored > 0
 
     def test_two_workers(self, conv2d_reference):
-        # Workers rebuild checkpointing injectors from the payload and
-        # order their chunks; the parent's in-order drain must still match
-        # the serial full-prefix reference byte for byte.
+        # Workers rebuild checkpointing injectors from the payload; the
+        # parent's in-order drain must match the serial full-prefix
+        # reference byte for byte.
         candidate = _campaign("2dconv.k1", interval=64, workers=2)
-        _assert_equivalent(conv2d_reference, candidate)
-
-    def test_serial_ordering_window(self, conv2d_reference):
-        candidate = _campaign("2dconv.k1", interval=64, order_batch=7)
-        _assert_equivalent(conv2d_reference, candidate)
-
-    def test_ordering_disabled_still_equivalent(self, conv2d_reference):
-        candidate = _campaign("2dconv.k1", interval=64, order_batch=0)
         _assert_equivalent(conv2d_reference, candidate)
 
     def test_tiny_budget_evicts_but_stays_equivalent(self, pathfinder_reference):
@@ -168,7 +157,7 @@ class TestEffectiveAccounting:
 
 
 def test_rf_sampling_draw_order_unchanged():
-    """Checkpointing/ordering must not shift any RNG draw: site samples
+    """Checkpointing must not shift any RNG draw: site samples
     from a warmed checkpointing injector match a pristine reference."""
     base = FaultInjector(load_instance("k-means.k1"))
     ck = FaultInjector(load_instance("k-means.k1"), checkpoint_interval=8)

@@ -117,7 +117,6 @@ def test_golden_state_handoff_skips_golden_run():
     parent = FaultInjector(load_instance("2dconv.k1"), backend="interpreter")
     child = FaultInjector(
         load_instance("2dconv.k1"),
-        verify_golden=False,
         backend="compiled",
         golden=parent.golden_state(),
     )

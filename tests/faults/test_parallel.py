@@ -214,6 +214,18 @@ class TestDegradation:
         counters = telemetry.metrics.snapshot()["counters"]
         assert counters["parallel.serial_fallback"] == 1
 
+    def test_unpicklable_golden_state_falls_back_to_serial(self, saxpy_serial):
+        _reference_injector, serial = saxpy_serial
+        telemetry = Telemetry(sink=MemorySink())
+        injector = FaultInjector(build_saxpy_instance(), telemetry=telemetry)
+        # Workers never run golden themselves: no golden state, no pool.
+        injector.golden_state = lambda: (lambda: None)
+        pairs = [(site, 1.0) for site in serial.sites]
+        streamed = list(make_runner(2).imap(injector, pairs))
+        assert [o for _, _, o in streamed] == serial.outcomes
+        counters = telemetry.metrics.snapshot()["counters"]
+        assert counters["parallel.serial_fallback"] == 1
+
     def test_serial_executor_streams_in_order(self, saxpy_serial):
         injector, serial = saxpy_serial
         pairs = [(site, 2.0) for site in serial.sites]

@@ -177,7 +177,6 @@ def test_golden_state_handoff_skips_golden_run():
     parent = FaultInjector(load_instance("2dconv.k1"), backend="interpreter")
     child = FaultInjector(
         load_instance("2dconv.k1"),
-        verify_golden=False,
         backend="vectorized",
         golden=parent.golden_state(),
     )
@@ -196,7 +195,6 @@ def test_vectorized_golden_traces_pickle_roundtrip():
     state = pickle.loads(pickle.dumps(inj.golden_state()))
     child = FaultInjector(
         load_instance("k-means.k1"),
-        verify_golden=False,
         backend="vectorized",
         golden=state,
     )

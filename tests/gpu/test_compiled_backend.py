@@ -255,7 +255,7 @@ def build_fuzz_instance(seed: int, n_body: int = 48) -> KernelInstance:
             OutputBuffer("dump", out_addr, np.dtype(np.uint8), N_THREADS * DUMP_BYTES),
             OutputBuffer("data", in_addr, np.dtype(np.float32), data.size),
         ),
-        reference={},  # never verified: the program IS the oracle pair
+        reference={},  # nothing to verify: the program IS the oracle pair
     )
 
 
@@ -326,8 +326,8 @@ def test_fuzzed_programs_execute_identically(seed, backend, traced):
 def test_fuzzed_injection_outcomes_identical(seed, backend):
     """All three fault models agree on random programs (arming layer)."""
     instance = build_fuzz_instance(seed)
-    interp = FaultInjector(instance, verify_golden=False, backend="interpreter")
-    candidate = FaultInjector(instance, verify_golden=False, backend=backend)
+    interp = FaultInjector(instance, backend="interpreter")
+    candidate = FaultInjector(instance, backend=backend)
     rng = np.random.default_rng(seed)
 
     for site in interp.space.sample(24, rng):  # VALUE

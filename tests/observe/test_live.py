@@ -375,6 +375,40 @@ class TestAdvisoryEquivalence:
         assert flagged.converged and not flagged.stopped_early
         assert flagged.n_runs == 200
 
+    def test_serial_early_stop_runs_exactly_what_it_reports(self):
+        """A serial early stop executes, counts and shows live exactly the
+        injections its profile holds, and each outcome streams at once."""
+        telemetry = Telemetry(sink=MemorySink())
+        injector = FaultInjector(load_instance("mvt.k1"), telemetry=telemetry)
+        assert injector.checkpoints is not None
+        live = LiveAggregator(until_ci=0.03)
+        events_at_first_progress = []
+
+        def progress(done, total):
+            if not events_at_first_progress:
+                events_at_first_progress.append(
+                    len(telemetry.sink.of_type(InjectionEvent))
+                )
+
+        result = random_campaign(
+            injector,
+            1068,
+            rng=2018,
+            until_ci=0.03,
+            early_stop=True,
+            live=live,
+            progress=progress,
+        )
+        assert result.stopped_early
+        counters = telemetry.metrics.snapshot()["counters"]
+        assert (
+            len(telemetry.sink.of_type(InjectionEvent))
+            == counters["injections.total"]
+            == live.done
+            == result.profile.n_injections
+        )
+        assert events_at_first_progress == [1]
+
 
 class TestAttachment:
     def test_live_needs_enabled_telemetry(self):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _build_parser, cmd_profile, main
 from repro.telemetry import (
     CampaignEvent,
     InjectionEvent,
@@ -79,9 +79,9 @@ def test_profile_with_full_instrumentation(tmp_path, capsys):
     assert manifest.events_path == str(events_path)
     assert manifest.config == {
         "loop_iters": 2, "bits": 4, "seed": 2018, "workers": 1,
-        "checkpoint_interval": "auto",
-        # The flag defaults to "auto"; the manifest records what ran.
-        "backend": "compiled", "propagation": False, "audit_groups": 0,
+        # Both resolve per kernel; the manifest records what ran.
+        "backend": "compiled", "checkpoint_interval": 0,
+        "propagation": False, "audit_groups": 0,
     }
     # The recorded profile matches the percentages printed to stdout.
     pct = manifest.profile["percentages"]
@@ -102,6 +102,45 @@ def test_auto_backend_output_matches_interpreter(tmp_path, capsys):
     interp_out = capsys.readouterr().out
     assert interp_out == auto_out + f"wrote manifest {manifest_path}\n"
     assert load_manifest(manifest_path).config["backend"] == "interpreter"
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        "k-means.k1",
+        # Shared memory, barriers, guards and div, auto checkpoint interval 32.
+        "lud.k46",
+        "pathfinder.k1",
+        # No shared memory: all 16 CTAs thread-slice.
+        "2mm.k1",
+    ],
+)
+def test_profile_output_identical_on_every_backend(kernel, capsys):
+    """The CLI offers only auto and the interpreter; the forced compiled
+    and vectorized backends must still print the interpreter's profile."""
+    outputs = {}
+    for backend in ("interpreter", "compiled", "vectorized"):
+        args = _build_parser().parse_args(
+            ["profile", kernel, "--loop-iters", "2", "--bits", "2"]
+        )
+        args.backend = backend
+        assert cmd_profile(args) == 0
+        outputs[backend] = capsys.readouterr().out
+    assert "masked=" in outputs["interpreter"]
+    assert outputs["compiled"] == outputs["interpreter"]
+    assert outputs["vectorized"] == outputs["interpreter"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "gaussian.k125", "--backend", "compiled"],
+    ["profile", "gaussian.k125", "--backend", "vectorized"],
+    ["profile", "gaussian.k125", "--checkpoint-interval", "8"],
+    ["trace-fault", "gaussian.k125", "t0/i5/b3", "--backend", "compiled"],
+])
+def test_speed_flags_are_gone(argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
 
 
 def test_baseline_with_manifest(tmp_path, capsys):
