@@ -8,8 +8,8 @@ sites:
   site validation and the slice ladder, no telemetry wrapper);
 * **null** — the default ``NULL_TELEMETRY`` path every uninstrumented
   campaign takes (one ``enabled`` check per injection);
-* **live** — full telemetry (events to a memory sink, counters,
-  histograms, spans).
+* **live** — full telemetry (events to a memory sink, counters and
+  histograms).
 
 The bench asserts the null path stays within 5 % of raw (the acceptance
 bar) and reports the live overhead, which should also be small: event

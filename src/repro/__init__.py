@@ -25,7 +25,7 @@ Layers (bottom-up):
 * :mod:`repro.stats`    — statistical-injection sample sizing (Eqs. 2-4)
 * :mod:`repro.pruning`  — the paper's progressive 4-stage pruning
 * :mod:`repro.analysis` — grouping analytics and table/figure data
-* :mod:`repro.telemetry` — events, metrics, spans, manifests
+* :mod:`repro.telemetry` — events, metrics (timings included), manifests
 """
 
 from .errors import (

@@ -8,7 +8,7 @@ Commands:
 * ``baseline`` — run a statistical random-injection baseline.
 * ``stages``   — show the per-stage fault-site reduction for a kernel.
 * ``metrics``  — run a small instrumented campaign and print counters,
-  gauges, histograms and span timings.
+  gauges and histograms (timings are the ``*_s`` histograms).
 * ``report``   — campaign report from telemetry artifacts (pass event
   logs and/or manifests), or a markdown resilience report for a kernel
   key; ``--propagation`` adds the provenance sections, ``--diff A B``
@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_instrumentation_args(stages)
 
     metrics = sub.add_parser(
-        "metrics", help="instrumented mini-campaign: counters and span timings"
+        "metrics", help="instrumented mini-campaign: counters, gauges and timings"
     )
     metrics.add_argument("kernel")
     metrics.add_argument("--runs", type=int, default=30, help="random injections")
@@ -703,8 +703,6 @@ def cmd_metrics(args) -> int:
     _print_convergence(args, result)
     print()
     print(telemetry.metrics.render())
-    print()
-    print(telemetry.spans.render())
     _finish_manifest(
         manifest, telemetry, t0, profile=result.profile, path=args.manifest
     )

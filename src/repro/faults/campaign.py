@@ -154,7 +154,7 @@ def run_campaign(
     done = 0
     stream = executor.imap(injector, pairs)
     try:
-        with telemetry.span(f"campaign.{label}"):
+        with telemetry.span(f"campaign.{label}_s"):
             for site, weight, outcome in stream:
                 profile.add(outcome, weight)
                 if keep_sites:

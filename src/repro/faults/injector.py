@@ -154,9 +154,6 @@ class FaultInjector:
         #: set (used by the coherence audit); None outside audits.
         self.injection_group: str | None = None
         self._tracer = None  # built lazily on the first traced injection
-        #: Golden-prefix instructions the current injection's checkpoint
-        #: restore skipped (counted into its event's effective iCnt).
-        self._skipped = 0
         self._launcher = GPUSimulator(telemetry=self.telemetry, backend=self.backend)
         # Thread slicing is sound only for CTAs whose threads provably do
         # not communicate; the static half of that proof is "no shared
@@ -168,14 +165,14 @@ class FaultInjector:
         if golden is not None:
             # Worker handoff: adopt shipped golden artifacts and rebuild
             # the final heap from the CTA write logs — no golden launch.
-            with self.telemetry.span("golden-restore"):
+            with self.telemetry.span("golden_restore_s"):
                 golden_memory = instance.golden_memory()
                 for log in golden.cta_write_logs:
                     golden_memory.apply_writes(log)
             result = golden
             self.traces = golden.traces
         else:
-            with self.telemetry.span("golden-run"):
+            with self.telemetry.span("golden_s"):
                 golden_memory = instance.golden_memory()
                 result = self._launcher.launch(
                     instance.program,
@@ -357,22 +354,28 @@ class FaultInjector:
             return outcome
         t0 = time.perf_counter()
         fallbacks_before = self.fallback_count
-        instructions = telemetry.metrics.counter("sim.instructions")
+        metrics = telemetry.metrics
+        instructions = metrics.counter("sim.instructions")
         instructions_before = instructions.value
+        skipped_before = metrics.counter_value("checkpoint.skipped_instructions")
         prev_phases = telemetry.phases
         telemetry.phases = phases = {}
-        self._skipped = 0
         record = None
         try:
-            with telemetry.span("injection"):
-                outcome = run(thread, spec, label)
-                # Counter delta snapshots the *classifying* run before the
-                # diagnostic replay (which uses a NULL_TELEMETRY simulator
-                # and must never show up in campaign attribution).
-                suffix_instructions = instructions.value - instructions_before
-                if self.propagation:
-                    with telemetry.phase("propagation_trace"):
-                        record = self._trace_propagation(thread, spec, outcome)
+            outcome = run(thread, spec, label)
+            # Counter deltas snapshot the *classifying* run before the
+            # diagnostic replay (which uses a NULL_TELEMETRY simulator and
+            # must never show up in campaign attribution).  Both sum over
+            # every rung a demoted injection ran, so the effective count
+            # matches the same ladder with checkpoints off.
+            suffix_instructions = instructions.value - instructions_before
+            skipped_instructions = (
+                metrics.counter_value("checkpoint.skipped_instructions")
+                - skipped_before
+            )
+            if self.propagation:
+                with telemetry.phase("propagation_trace"):
+                    record = self._trace_propagation(thread, spec, outcome)
         finally:
             telemetry.phases = prev_phases
         self._record_injection(
@@ -383,7 +386,7 @@ class FaultInjector:
             duration_s=time.perf_counter() - t0,
             phases=phases,
             suffix_instructions=suffix_instructions,
-            skipped_instructions=self._skipped,
+            skipped_instructions=skipped_instructions,
             propagation=record,
         )
         return outcome
@@ -563,8 +566,6 @@ class FaultInjector:
         """
         store = self.checkpoints
         if store is None or self.backend == "vectorized":
-            # Nothing is skipped, whatever a demoted thread slice resumed.
-            self._skipped = 0
             return [], None
         slot = thread % self.instance.geometry.threads_per_cta
         resume = store.best_cta(cta, slot, spec.dyn_index)
@@ -601,9 +602,6 @@ class FaultInjector:
 
     def _note_checkpoint_lookup(self, kind: str, skipped: int | None) -> None:
         """Hit/miss/bytes telemetry for one checkpoint-store lookup."""
-        # Last rung wins: a demoted thread slice's skip is superseded by
-        # the CTA slice that actually decides the outcome.
-        self._skipped = skipped or 0
         telemetry = self.telemetry
         if not telemetry.enabled:
             return
@@ -635,9 +633,6 @@ class FaultInjector:
     ) -> Outcome:
         label = label if label is not None else f"t{thread}:{spec}"
         self._check_spec(thread, spec)
-        # A full re-execution skips nothing — clear any accounting left
-        # behind by a demoted sliced attempt.
-        self._skipped = 0
         with self.telemetry.phase("heap_repair"):
             memory = self.instance.initial_memory.snapshot()
         result = self._execute(memory, thread, spec, max_steps=max(self._cta_budget))

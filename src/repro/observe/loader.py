@@ -24,6 +24,7 @@ from ..telemetry import (
     CampaignEvent,
     HeartbeatEvent,
     InjectionEvent,
+    MetricsRegistry,
     RunManifest,
     SimRunEvent,
     StageEvent,
@@ -54,32 +55,14 @@ class CampaignLog:
         return ""
 
     def merged_metrics(self) -> dict:
-        """Metric totals across every attached manifest (counters and
-        histogram stats add, gauges last-write-win — matching
-        :meth:`~repro.telemetry.MetricsRegistry.merge`)."""
-        counters: dict[str, float] = {}
-        gauges: dict[str, float] = {}
-        histograms: dict[str, dict] = {}
+        """Metric totals across every attached manifest, folded by
+        :meth:`~repro.telemetry.MetricsRegistry.merge` (counters and
+        histogram stats add, gauges last-write-win)."""
+        registry = MetricsRegistry()
         for manifest in self.manifests:
-            if not manifest.metrics:
-                continue
-            for name, value in manifest.metrics.get("counters", {}).items():
-                counters[name] = counters.get(name, 0) + value
-            for name, value in manifest.metrics.get("gauges", {}).items():
-                gauges[name] = value
-            for name, summary in manifest.metrics.get("histograms", {}).items():
-                if not summary.get("count"):
-                    continue
-                merged = histograms.get(name)
-                if merged is None:
-                    histograms[name] = dict(summary)
-                else:
-                    merged["count"] += summary["count"]
-                    merged["total"] += summary["total"]
-                    merged["min"] = min(merged["min"], summary["min"])
-                    merged["max"] = max(merged["max"], summary["max"])
-                    merged["mean"] = merged["total"] / merged["count"]
-        return {"counters": counters, "gauges": gauges, "histograms": histograms}
+            if manifest.metrics:
+                registry.merge(manifest.metrics)
+        return registry.snapshot()
 
 
 def _looks_like_manifest(path: Path) -> bool:

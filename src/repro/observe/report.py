@@ -143,6 +143,11 @@ def _checkpoint_section(log: CampaignLog, counters, gauges) -> dict | None:
     )
     intervals = {e.checkpoint_interval for e in log.injections}
     intervals.discard(0)
+    if not intervals:
+        # A manifest-only report: the interval each run resolved (older
+        # manifests recorded the flag text ``"auto"`` instead).
+        recorded = (m.config.get("checkpoint_interval") for m in log.manifests)
+        intervals = {i for i in recorded if isinstance(i, int) and i > 0}
     if hits + misses == 0 and not intervals:
         return None
     lookups = hits + misses

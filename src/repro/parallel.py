@@ -18,9 +18,9 @@ run, and worker ``fallback_count`` deltas sum to the serial total.
 Telemetry: the chunk result is the only channel from worker to parent.
 When the parent campaign is instrumented, each worker records into a
 private in-memory :class:`~repro.telemetry.Telemetry`; the deltas
-(events, counters, histograms, spans) ship back with each chunk and are
-absorbed into the parent handle (counters add, gauges last-write-win,
-histogram/span stats combine).  A live
+(events, counters, gauges, histograms) ship back with each chunk and
+are absorbed into the parent handle (counters add, gauges
+last-write-win, histogram stats combine).  A live
 :class:`~repro.observe.live.LiveAggregator` listens to the parent's
 handle, so it folds each chunk's ``InjectionEvent`` records as the
 parent absorbs them: in order, once per drained chunk.  When an
@@ -214,13 +214,11 @@ def _run_chunk(
         snapshot = {
             "events": [event_to_dict(e) for e in sink.events],
             "metrics": telemetry.metrics.snapshot(),
-            "spans": telemetry.spans.snapshot(),
             "worker": name,
         }
         # Reset so the next chunk ships deltas, not cumulative state.
         sink.events.clear()
         telemetry.metrics.__init__()
-        telemetry.spans.__init__()
     return outcomes, fallback_delta, snapshot
 
 

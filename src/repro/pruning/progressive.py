@@ -137,10 +137,11 @@ class ProgressivePruner:
     ) -> PrunedSpace:
         """Run all enabled stages.
 
-        ``telemetry`` (defaulting to the injector's) gets one span, one
-        :class:`~repro.telemetry.StageEvent` and a pair of
-        ``prune.<stage>.*`` gauges per stage; ``progress(done, total)``
-        fires after each of the four stages.
+        ``telemetry`` (defaulting to the injector's) gets one
+        :class:`~repro.telemetry.StageEvent`, one ``prune.<stage>_s``
+        histogram observation and a pair of ``prune.<stage>.*`` gauges
+        per stage; ``progress(done, total)`` fires after each of the four
+        stages.
         """
         traces = injector.traces
         program = injector.instance.program
@@ -153,18 +154,20 @@ class ProgressivePruner:
         def finish_stage(name: str, sites_before: int, sites_after: int, t0: float):
             stages.append(StageReport(name, sites_after))
             if telemetry.enabled:
+                duration_s = time.perf_counter() - t0
                 telemetry.set_gauge(f"prune.{name}.sites_after", sites_after)
                 if sites_after:
                     telemetry.set_gauge(
                         f"prune.{name}.factor", sites_before / sites_after
                     )
+                telemetry.observe(f"prune.{name}_s", duration_s)
                 telemetry.emit(
                     StageEvent(
                         time.time(),
                         stage=name,
                         sites_before=sites_before,
                         sites_after=sites_after,
-                        duration_s=time.perf_counter() - t0,
+                        duration_s=duration_s,
                     )
                 )
             if progress is not None:
@@ -178,19 +181,18 @@ class ProgressivePruner:
         # towards boundary-adjacent threads, whose flips cross the
         # active/idle boundary far more often than their group's.
         t0 = time.perf_counter()
-        with telemetry.span("prune.thread-wise"):
-            tw = prune_threads(traces, geometry, method=self.cta_method, rng=rng)
-            # Injection units: (thread, dyn index) -> weight per bit.
-            units: dict[tuple[int, int], float] = {}
-            widths: dict[tuple[int, int], int] = {}
-            for group in tw.thread_groups:
-                rep = group.representative
-                w = group.per_site_weight
-                for dyn_index, (_pc, width) in enumerate(traces[rep]):
-                    if width:
-                        key = (rep, dyn_index)
-                        units[key] = units.get(key, 0.0) + w
-                        widths[key] = width
+        tw = prune_threads(traces, geometry, method=self.cta_method, rng=rng)
+        # Injection units: (thread, dyn index) -> weight per bit.
+        units: dict[tuple[int, int], float] = {}
+        widths: dict[tuple[int, int], int] = {}
+        for group in tw.thread_groups:
+            rep = group.representative
+            w = group.per_site_weight
+            for dyn_index, (_pc, width) in enumerate(traces[rep]):
+                if width:
+                    key = (rep, dyn_index)
+                    units[key] = units.get(key, 0.0) + w
+                    widths[key] = width
         remaining = finish_stage(
             "thread-wise", tw.total_sites, _site_count(units, widths), t0
         )
@@ -198,25 +200,24 @@ class ProgressivePruner:
         # ---- stage 2: instruction-wise ----------------------------------
         iw = None
         t0 = time.perf_counter()
-        with telemetry.span("prune.instruction-wise"):
-            if self.enable_instructionwise:
-                iw = prune_instructions(
-                    program,
-                    traces,
-                    tw.representatives,
-                    min_common_fraction=self.min_common_fraction,
-                )
-                for block in iw.borrowed:
-                    for offset in range(block.size):
-                        src = (block.thread, block.lo + offset)
-                        dst = (block.donor, block.donor_lo + offset)
-                        if src not in units:
-                            continue
-                        src_width = widths[src]
-                        if dst in units and widths[dst] == src_width:
-                            units[dst] += units.pop(src)
-                        # else: donor slot was predicated off or absent — the
-                        # borrower's copy stays and is injected directly.
+        if self.enable_instructionwise:
+            iw = prune_instructions(
+                program,
+                traces,
+                tw.representatives,
+                min_common_fraction=self.min_common_fraction,
+            )
+            for block in iw.borrowed:
+                for offset in range(block.size):
+                    src = (block.thread, block.lo + offset)
+                    dst = (block.donor, block.donor_lo + offset)
+                    if src not in units:
+                        continue
+                    src_width = widths[src]
+                    if dst in units and widths[dst] == src_width:
+                        units[dst] += units.pop(src)
+                    # else: donor slot was predicated off or absent — the
+                    # borrower's copy stays and is injected directly.
         remaining = finish_stage(
             "instruction-wise", remaining, _site_count(units, widths), t0
         )
@@ -224,47 +225,45 @@ class ProgressivePruner:
         # ---- stage 3: loop-wise -----------------------------------------
         lw = None
         t0 = time.perf_counter()
-        with telemetry.span("prune.loop-wise"):
-            if self.enable_loopwise:
-                active_threads = sorted({t for t, _ in units})
-                lw = prune_loops(
-                    program, traces, active_threads, self.num_loop_iters, rng
-                )
-                surviving: dict[tuple[int, int], float] = {}
-                for (thread, dyn_index), weight in units.items():
-                    multiplier = lw.kept(thread).get(dyn_index)
-                    if multiplier is None:
-                        continue
-                    surviving[(thread, dyn_index)] = weight * multiplier
-                units = surviving
+        if self.enable_loopwise:
+            active_threads = sorted({t for t, _ in units})
+            lw = prune_loops(
+                program, traces, active_threads, self.num_loop_iters, rng
+            )
+            surviving: dict[tuple[int, int], float] = {}
+            for (thread, dyn_index), weight in units.items():
+                multiplier = lw.kept(thread).get(dyn_index)
+                if multiplier is None:
+                    continue
+                surviving[(thread, dyn_index)] = weight * multiplier
+            units = surviving
         remaining = finish_stage("loop-wise", remaining, _site_count(units, widths), t0)
 
         # ---- stage 4: bit-wise ------------------------------------------
         t0 = time.perf_counter()
-        with telemetry.span("prune.bit-wise"):
-            sites: list[WeightedSite] = []
-            static_masked = 0.0
-            plans: dict[int, BitPlan] = {}
-            for (thread, dyn_index), weight in sorted(units.items()):
-                width = widths[(thread, dyn_index)]
-                if self.enable_bitwise:
-                    plan = plans.get(width)
-                    if plan is None:
-                        plan = plan_bits(width, self.n_bits, self.pred_flags_masked)
-                        plans[width] = plan
-                    for bit in plan.kept_bits:
-                        sites.append(
-                            WeightedSite(
-                                FaultSite(thread, dyn_index, bit),
-                                weight * plan.weight_per_bit,
-                            )
+        sites: list[WeightedSite] = []
+        static_masked = 0.0
+        plans: dict[int, BitPlan] = {}
+        for (thread, dyn_index), weight in sorted(units.items()):
+            width = widths[(thread, dyn_index)]
+            if self.enable_bitwise:
+                plan = plans.get(width)
+                if plan is None:
+                    plan = plan_bits(width, self.n_bits, self.pred_flags_masked)
+                    plans[width] = plan
+                for bit in plan.kept_bits:
+                    sites.append(
+                        WeightedSite(
+                            FaultSite(thread, dyn_index, bit),
+                            weight * plan.weight_per_bit,
                         )
-                    static_masked += weight * plan.static_masked_bits
-                else:
-                    for bit in range(width):
-                        sites.append(
-                            WeightedSite(FaultSite(thread, dyn_index, bit), weight)
-                        )
+                    )
+                static_masked += weight * plan.static_masked_bits
+            else:
+                for bit in range(width):
+                    sites.append(
+                        WeightedSite(FaultSite(thread, dyn_index, bit), weight)
+                    )
         finish_stage("bit-wise", remaining, len(sites), t0)
 
         return PrunedSpace(

@@ -1,10 +1,12 @@
 """Structured instrumentation for the injection/pruning stack.
 
-The :class:`Telemetry` facade bundles the three recorders every layer
-shares — an event sink (:mod:`~repro.telemetry.events`), a metrics
-registry (:mod:`~repro.telemetry.metrics`) and a span timer
-(:mod:`~repro.telemetry.timing`) — behind one object that the simulator,
-injector, campaign drivers and pruner all accept as ``telemetry=``.
+The :class:`Telemetry` facade bundles the two recorders every layer
+shares — an event sink (:mod:`~repro.telemetry.events`) and a metrics
+registry (:mod:`~repro.telemetry.metrics`) — behind one object that the
+simulator, injector, campaign drivers and pruner all accept as
+``telemetry=``.  A timed block (:meth:`Telemetry.span`) lands in the
+registry as one observation of a ``*_s`` histogram, so the registry's
+:class:`Histogram` is the only aggregate type.
 
 ``NULL_TELEMETRY`` is the default everywhere: its ``enabled`` flag is
 False and every method is a no-op, so uninstrumented campaigns pay one
@@ -60,11 +62,10 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .timing import SpanStats, SpanTimer
 
 
 class _NullSpan:
-    """Reusable no-op context manager for the disabled span path."""
+    """Reusable no-op context manager for the disabled timer path."""
 
     __slots__ = ()
 
@@ -78,13 +79,14 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-class _PhaseSpan:
-    """Times one injection phase and folds it into ``telemetry.phases``."""
+class _Timer:
+    """Times one block and hands ``(name, seconds)`` to ``record``, also
+    when the block raises."""
 
-    __slots__ = ("_telemetry", "_name", "_t0")
+    __slots__ = ("_record", "_name", "_t0")
 
-    def __init__(self, telemetry: "Telemetry", name: str) -> None:
-        self._telemetry = telemetry
+    def __init__(self, record, name: str) -> None:
+        self._record = record
         self._name = name
 
     def __enter__(self) -> None:
@@ -92,12 +94,12 @@ class _PhaseSpan:
         return None
 
     def __exit__(self, *exc) -> bool:
-        self._telemetry.add_phase(self._name, time.perf_counter() - self._t0)
+        self._record(self._name, time.perf_counter() - self._t0)
         return False
 
 
 class Telemetry:
-    """Event sink + metrics registry + span timer, as one handle."""
+    """Event sink + metrics registry, as one handle."""
 
     enabled = True
 
@@ -105,14 +107,12 @@ class Telemetry:
         self,
         sink: EventSink | None = None,
         metrics: MetricsRegistry | None = None,
-        spans: SpanTimer | None = None,
     ) -> None:
         self.sink = sink if sink is not None else MemorySink()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.spans = spans if spans is not None else SpanTimer()
         #: Per-injection phase accumulator (phase name -> seconds).  The
         #: injector opens a fresh dict around each injection; while it is
-        #: None (outside any injection) phase spans are no-ops.
+        #: None (outside any injection) ``phase()`` blocks are no-ops.
         self.phases: dict[str, float] | None = None
         #: ``listener(event)`` sees every emitted event after the sink,
         #: absorbed worker events included; the live plane attaches here.
@@ -124,7 +124,8 @@ class Telemetry:
             self.listener(event)
 
     def span(self, name: str):
-        return self.spans.span(name)
+        """Context manager timing its block into histogram ``name``."""
+        return _Timer(self.observe, name)
 
     def count(self, name: str, n: int | float = 1) -> None:
         self.metrics.counter(name).inc(n)
@@ -151,19 +152,18 @@ class Telemetry:
         """Context manager timing one phase of the current injection."""
         if self.phases is None:
             return _NULL_SPAN
-        return _PhaseSpan(self, name)
+        return _Timer(self.add_phase, name)
 
     def absorb(self, snapshot: dict) -> None:
         """Merge a worker-shipped telemetry snapshot into this handle.
 
         ``snapshot`` is the wire form parallel campaign workers produce:
         ``{"events": [event dicts], "metrics": MetricsRegistry.snapshot(),
-        "spans": SpanTimer.snapshot(), "worker": name}``.  Events are
-        re-emitted into this sink — stamped with the worker's name when
-        they carry a ``worker`` field left None; counters add, gauges
-        last-write-win except :data:`SUMMED_GAUGES` which sum across
-        workers, histogram/span stats combine (see
-        :meth:`MetricsRegistry.merge` / :meth:`SpanTimer.merge`).
+        "worker": name}``.  Events are re-emitted into this sink —
+        stamped with the worker's name when they carry a ``worker`` field
+        left None; counters add, gauges last-write-win except
+        :data:`SUMMED_GAUGES` which sum across workers, histogram stats
+        combine (see :meth:`MetricsRegistry.merge`).
         """
         worker = snapshot.get("worker")
         for payload in snapshot.get("events", ()):
@@ -172,7 +172,6 @@ class Telemetry:
                 event = dataclasses.replace(event, worker=worker)
             self.emit(event)
         self.metrics.merge(snapshot.get("metrics", {}), worker=worker)
-        self.spans.merge(snapshot.get("spans", {}))
 
     def close(self) -> None:
         self.sink.close()
@@ -243,8 +242,6 @@ __all__ = [
     "NullTelemetry",
     "RunManifest",
     "SimRunEvent",
-    "SpanStats",
-    "SpanTimer",
     "StageEvent",
     "Telemetry",
     "TelemetryEvent",

@@ -82,7 +82,6 @@ class RunManifest:
     profile: dict | None = None
     wall_clock_s: float | None = None
     metrics: dict | None = None
-    spans: dict | None = None
     version: int = MANIFEST_VERSION
 
     @classmethod
@@ -115,7 +114,6 @@ class RunManifest:
         self.wall_clock_s = wall_clock_s
         if telemetry is not None and telemetry.enabled:
             self.metrics = telemetry.metrics.snapshot()
-            self.spans = telemetry.spans.snapshot()
 
     # -------------------------------------------------------------- (de)ser
 

@@ -6,16 +6,10 @@ no locks, no label sets, no export protocol.  :meth:`MetricsRegistry.snapshot`
 returns plain dicts for manifests; :meth:`MetricsRegistry.render` prints
 the aligned table the ``repro metrics`` CLI command shows.
 
-Conventional metric names used across the stack:
-
-* ``sim.launches`` / ``sim.instructions`` / ``sim.barrier_rounds`` /
-  ``sim.hangs`` / ``sim.memory_faults`` — simulator counters;
-* ``injections.total`` / ``injections.fast_path`` /
-  ``injections.full_rerun`` — sliced vs full-re-run split;
-* ``outcome.masked|sdc|crash|hang`` — classification counts;
-* ``prune.<stage>.sites_after`` / ``prune.<stage>.factor`` — gauges set by
-  the progressive pruner;
-* ``injection_s`` — histogram of per-injection wall-clock seconds.
+Histograms are also the timing type: every wall-clock duration the stack
+aggregates is a ``*_s`` histogram (``Telemetry.span`` observes into one).
+The metric names in use, with their meaning, are tabled in
+``docs/observability.md`` ("Metric names").
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import FaultInjector, load_instance, random_campaign
+from repro import FaultInjector, FaultSite, load_instance, random_campaign
 from repro.gpu import GPUSimulator
 from repro.gpu.checkpoint import CheckpointPlan, CheckpointStore, ThreadCheckpoint
 from repro.parallel import ParallelCampaignRunner
@@ -154,6 +154,23 @@ class TestEffectiveAccounting:
         assert any(
             e.effective_instructions > e.suffix_instructions for e in events
         )
+
+    def test_full_rerun_after_resumed_cta_slice_counts_every_rung(self):
+        """A CTA slice that resumed from a warm checkpoint and then fell
+        back to the full re-run still counts its skipped prefix: the
+        event reads what the same ladder runs with checkpoints off."""
+        sink = MemorySink()
+        injector = FaultInjector(
+            load_instance("pathfinder.k1"),
+            telemetry=Telemetry(sink=sink),
+            backend="compiled",
+            checkpoint_interval=16,
+        )
+        random_campaign(injector, 40, rng=5)  # warm the CTA snapshots
+        injector.inject(FaultSite(6, 217, 8))
+        event = sink.of_type(InjectionEvent)[-1]
+        assert not event.fast_path
+        assert event.effective_instructions == 35_360
 
 
 def test_rf_sampling_draw_order_unchanged():

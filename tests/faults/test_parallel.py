@@ -113,8 +113,20 @@ class TestTelemetryMerge:
                 assert parallel_counts[name] == serial_counts[name], name
         assert parallel_counts["parallel.chunks"] > 1
         assert parallel_tel.metrics.snapshot()["gauges"]["parallel.workers"] == 2
-        # Per-injection spans merged from the workers.
-        assert parallel_tel.spans.snapshot()["injection"]["count"] >= 32
+        # Timings are flat histograms: both runs record the same ones
+        # under the same names; the pool adds only its own.
+        serial_timings = serial_tel.metrics.snapshot()["histograms"]
+        parallel_timings = parallel_tel.metrics.snapshot()["histograms"]
+        for timings in (serial_timings, parallel_timings):
+            assert timings["injection_s"]["count"] == 32
+            assert timings["campaign.random_s"]["count"] == 1
+        pool_only = {
+            name
+            for name in parallel_timings
+            if name == "golden_restore_s" or name.startswith("parallel.")
+        }
+        assert "golden_restore_s" in pool_only
+        assert set(parallel_timings) - pool_only == set(serial_timings)
 
 
 class TestCheckpointCounterMerge:

@@ -191,3 +191,20 @@ class TestReportCli:
 
         with pytest.raises(ReproError):
             main(["report", str(EVENTS), "/nonexistent.jsonl"])
+
+    def test_manifest_only_report_reads_the_recorded_interval(
+        self, tmp_path, capsys
+    ):
+        """No injection events to read the interval from: the report
+        takes the one the profile recorded in its manifest."""
+        from repro.__main__ import main
+
+        manifest = tmp_path / "m.json"
+        assert main([
+            "profile", "pathfinder.k1", "--loop-iters", "2", "--bits", "2",
+            "--manifest", str(manifest),
+        ]) == 0
+        assert json.loads(manifest.read_text())["config"]["checkpoint_interval"] == 16
+        capsys.readouterr()
+        assert main(["report", str(manifest)]) == 0
+        assert "checkpoints (interval 16):" in capsys.readouterr().out

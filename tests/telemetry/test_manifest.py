@@ -61,12 +61,12 @@ class TestRoundTrip:
     def test_finalize_captures_telemetry_snapshots(self):
         telemetry = Telemetry()
         telemetry.count("injections.total", 5)
-        with telemetry.span("phase"):
+        with telemetry.span("phase_s"):
             pass
         manifest = RunManifest.create(kernel="x")
         manifest.finalize(telemetry, wall_clock_s=0.5)
         assert manifest.metrics["counters"]["injections.total"] == 5
-        assert manifest.spans["phase"]["count"] == 1
+        assert manifest.metrics["histograms"]["phase_s"]["count"] == 1
 
     def test_unsupported_version_rejected(self, tmp_path):
         manifest = RunManifest.create(kernel="x")

@@ -6,7 +6,6 @@ from repro.telemetry import (
     InjectionEvent,
     MemorySink,
     MetricsRegistry,
-    SpanTimer,
     Telemetry,
     event_to_dict,
 )
@@ -47,34 +46,6 @@ class TestMetricsMerge:
         assert a.histogram("h").count == 0
 
 
-class TestSpanMerge:
-    def test_spans_combine_like_one_timer(self):
-        ticks = iter(range(100))
-        a = SpanTimer(clock=lambda: next(ticks))
-        b = SpanTimer(clock=lambda: next(ticks))
-        with a.span("injection"):
-            pass
-        with b.span("injection"):
-            with b.span("sim"):
-                pass
-        a.merge(b.snapshot())
-        assert a.stats["injection"].count == 2
-        assert "injection/sim" in a.stats
-
-    def test_min_max_combine(self):
-        from repro.telemetry.timing import SpanStats
-
-        a, b = SpanTimer(), SpanTimer()
-        for timer, dt in ((a, 1.0), (a, 3.0), (b, 0.5), (b, 9.0)):
-            timer.stats.setdefault("p", SpanStats()).record(dt)
-        a.merge(b.snapshot())
-        merged = a.stats["p"]
-        assert merged.count == 4
-        assert merged.min_s == 0.5
-        assert merged.max_s == 9.0
-        assert merged.total_s == 13.5
-
-
 class TestTelemetryAbsorb:
     def test_absorb_reemits_events_and_merges_metrics(self):
         worker = Telemetry(sink=MemorySink())
@@ -89,7 +60,6 @@ class TestTelemetryAbsorb:
         snapshot = {
             "events": [event_to_dict(e) for e in worker.sink.events],
             "metrics": worker.metrics.snapshot(),
-            "spans": worker.spans.snapshot(),
         }
         parent = Telemetry(sink=MemorySink())
         parent.count("injections.total", 2)

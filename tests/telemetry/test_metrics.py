@@ -1,8 +1,9 @@
-"""Counter/gauge/histogram math and the registry snapshot/render API."""
+"""Counter/gauge/histogram math, the registry snapshot/render API and the
+timed blocks that record into histograms."""
 
 import pytest
 
-from repro.telemetry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry import Counter, Gauge, Histogram, MetricsRegistry, Telemetry
 
 
 class TestCounter:
@@ -78,3 +79,14 @@ class TestMetricsRegistry:
 
     def test_empty_registry_renders_placeholder(self):
         assert "no metrics" in MetricsRegistry().render()
+
+
+class TestTimedBlocks:
+    def test_raising_block_still_records_its_histogram(self):
+        telemetry = Telemetry()
+        with pytest.raises(ValueError):
+            with telemetry.span("boom_s"):
+                raise ValueError("x")
+        timing = telemetry.metrics.histogram("boom_s")
+        assert timing.count == 1
+        assert timing.min >= 0.0

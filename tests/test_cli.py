@@ -49,7 +49,8 @@ def test_metrics_command(capsys):
     out = capsys.readouterr().out
     assert "injections.total" in out
     assert "sim.launches" in out
-    assert "spans:" in out
+    assert "golden_s" in out
+    assert "campaign.random_s" in out
 
 
 def test_profile_with_full_instrumentation(tmp_path, capsys):
