@@ -32,12 +32,12 @@ fans the campaign's injections over N worker processes (see
 
 ``profile``/``baseline``/``metrics`` additionally accept the live
 monitoring flags: ``--live-port``/``--live-status`` expose rolling
-campaign status (outcome shares with Wilson CIs, per-worker liveness,
-throughput) while the campaign runs, ``--until-ci`` adds the sequential
-convergence signal (and stops sampled campaigns early at the target),
-and ``--flight-recorder`` writes a post-mortem dump if the campaign
-dies.  The live plane is advisory — profiles are byte-identical with it
-on or off.
+campaign status (outcome shares, per-worker liveness, throughput) while
+the campaign runs, and ``--flight-recorder`` writes a post-mortem dump
+if the campaign dies.  ``baseline``/``metrics`` also take ``--until-ci``:
+their sampled shares carry Wilson CIs, and the campaign stops early
+once every half-width is at most the target.  The live plane is
+advisory — profiles are byte-identical with it on or off.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .gpu.simulator import VECTORIZED_MIN_LANES
 from .stats import sample_size_worst_case
 from .telemetry import (
     NULL_TELEMETRY,
+    InjectionEvent,
     JsonlSink,
     NullSink,
     RunManifest,
@@ -121,7 +122,7 @@ def _add_instrumentation_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_live_args(sub: argparse.ArgumentParser) -> None:
+def _add_live_args(sub: argparse.ArgumentParser, sampled: bool = False) -> None:
     live = sub.add_argument_group("live monitoring")
     live.add_argument(
         "--live-port",
@@ -140,21 +141,21 @@ def _add_live_args(sub: argparse.ArgumentParser) -> None:
         "replace; point 'repro watch PATH' at it)",
     )
     live.add_argument(
-        "--until-ci",
-        type=float,
-        metavar="HW",
-        default=None,
-        help="convergence target: report 'converged' once every outcome "
-        "share's Wilson CI half-width is at most HW (0.03 = ±3pp); "
-        "sampled campaigns (baseline/metrics) also stop early there",
-    )
-    live.add_argument(
         "--flight-recorder",
         metavar="PATH",
         default=None,
         help="if the campaign crashes, write a post-mortem dump "
         "(recent-event rings, crash site, final status, manifest) to PATH",
     )
+    if sampled:
+        live.add_argument(
+            "--until-ci",
+            type=float,
+            metavar="HW",
+            default=None,
+            help="convergence target: stop early once every outcome "
+            "share's Wilson CI half-width is at most HW (0.03 = ±3pp)",
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -192,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     baseline.add_argument("--margin", type=float, default=0.03)
     baseline.add_argument("--seed", type=int, default=2018)
     _add_instrumentation_args(baseline)
-    _add_live_args(baseline)
+    _add_live_args(baseline, sampled=True)
 
     stages = sub.add_parser("stages", help="per-stage site reduction")
     stages.add_argument("kernel")
@@ -207,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--runs", type=int, default=30, help="random injections")
     metrics.add_argument("--seed", type=int, default=2018)
     _add_instrumentation_args(metrics)
-    _add_live_args(metrics)
+    _add_live_args(metrics, sampled=True)
 
     report = sub.add_parser(
         "report",
@@ -375,7 +376,7 @@ def _live_wanted(args) -> bool:
         args.live_port is not None
         or bool(args.live_status)
         or bool(args.flight_recorder)
-        or args.until_ci is not None
+        or getattr(args, "until_ci", None) is not None
     )
 
 
@@ -391,7 +392,7 @@ def _live_config(args) -> dict:
         config["live_port"] = args.live_port
     if args.live_status:
         config["live_status"] = args.live_status
-    if args.until_ci is not None:
+    if getattr(args, "until_ci", None) is not None:
         config["until_ci"] = args.until_ci
     if args.flight_recorder:
         config["flight_recorder"] = args.flight_recorder
@@ -422,7 +423,7 @@ def _make_live(args, manifest: RunManifest | None = None) -> _LivePlane | None:
     from .observe.live import FlightRecorder, LiveAggregator
     from .observe.statusd import ProgressWriter, StatusFileWriter, StatusServer
 
-    aggregator = LiveAggregator(until_ci=args.until_ci)
+    aggregator = LiveAggregator(until_ci=getattr(args, "until_ci", None))
     if args.flight_recorder:
         aggregator.flight_recorder = FlightRecorder(
             args.flight_recorder, manifest=manifest
@@ -546,7 +547,6 @@ def cmd_profile(args) -> int:
                 args.workers, start_method=args.start_method
             ),
             live=plane.aggregator if plane is not None else None,
-            until_ci=args.until_ci,
         )
     finally:
         if plane is not None:
@@ -555,13 +555,6 @@ def cmd_profile(args) -> int:
           f"{space.n_injections:,} injections "
           f"({space.reduction_factor():,.0f}x)")
     print(profile)
-    if args.until_ci is not None:
-        conv = plane.aggregator.snapshot()["convergence"]
-        target = f"±{100 * args.until_ci:.1f}pp"
-        if conv["converged"]:
-            print(f"converged: every outcome share within {target}")
-        else:
-            print(f"not converged: outcome shares wider than {target}")
     if args.audit_groups:
         from .faults import run_coherence_audit
 
@@ -781,11 +774,13 @@ def cmd_report(args) -> int:
 
     from .analysis import render_report
 
-    injector = FaultInjector(load_instance(targets[0]))
+    telemetry = Telemetry()  # its weighted events rank the hardening priorities
+    injector = FaultInjector(load_instance(targets[0]), telemetry=telemetry)
     pruner = ProgressivePruner(num_loop_iters=args.loop_iters, n_bits=args.bits)
     space = pruner.prune(injector)
     profile = space.estimate_profile(injector)
-    _emit(render_report(injector, space, profile), args.out)
+    events = telemetry.sink.of_type(InjectionEvent)
+    _emit(render_report(injector, space, profile, events), args.out)
     return 0
 
 

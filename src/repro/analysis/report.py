@@ -12,8 +12,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from ..faults.injector import FaultInjector
-from ..faults.outcome import ResilienceProfile
+from ..faults.outcome import Outcome, ResilienceProfile
 from ..pruning.progressive import PrunedSpace
+from ..telemetry import InjectionEvent
 
 
 @dataclass(frozen=True)
@@ -31,21 +32,18 @@ class InstructionVulnerability:
 
 
 def instruction_vulnerabilities(
-    injector: FaultInjector, space: PrunedSpace
+    injector: FaultInjector, events: list[InjectionEvent]
 ) -> list[InstructionVulnerability]:
-    """Rank static instructions by weighted unsafe fault sites.
-
-    Re-injects the pruned space (cheap by construction) and aggregates per
-    pc.  Rows are sorted most-harmful first.
+    """Rank static instructions by weighted unsafe fault sites: a pruned
+    campaign's ``InjectionEvent`` weights folded per pc, most-harmful first.
     """
     program = injector.instance.program
     cells: dict[int, dict[str, float]] = defaultdict(
         lambda: {"masked": 0.0, "sdc": 0.0, "other": 0.0}
     )
-    for ws in space.sites:
-        outcome = injector.inject(ws.site)
-        pc = injector.space.pc_of(ws.site.thread, ws.site.dyn_index)
-        cells[pc][outcome.category] += ws.weight
+    for event in events:
+        pc = injector.space.pc_of(event.thread, event.dyn_index)
+        cells[pc][Outcome(event.outcome).category] += event.weight
 
     rows = []
     for pc, cell in cells.items():
@@ -67,9 +65,11 @@ def render_report(
     injector: FaultInjector,
     space: PrunedSpace,
     profile: ResilienceProfile,
+    events: list[InjectionEvent],
     top_n: int = 10,
 ) -> str:
-    """A self-contained markdown resilience report for one kernel."""
+    """A self-contained markdown resilience report for one kernel;
+    ``events`` are the campaign's that estimated ``profile``."""
     instance = injector.instance
     spec = instance.spec
     lines = [f"# Resilience report — {spec.key if spec else instance.program.name}"]
@@ -112,7 +112,7 @@ def render_report(
         "| rank | pc | instruction | unsafe | weighted sites |",
         "|---|---|---|---|---|",
     ]
-    rows = instruction_vulnerabilities(injector, space)
+    rows = instruction_vulnerabilities(injector, events)
     for rank, row in enumerate(rows[:top_n], start=1):
         lines.append(
             f"| {rank} | {row.pc} | `{row.text}` | "

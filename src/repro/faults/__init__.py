@@ -5,7 +5,6 @@ from .campaign import CampaignResult, exhaustive_campaign, random_campaign, run_
 from .injector import ADDRESS_BITS, DEFAULT_HANG_FACTOR, FaultInjector, GoldenState
 from .model import FaultModel, InjectionSpec, RegisterFileSite, StoreAddressSite
 from .outcome import CATEGORIES, Outcome, ResilienceProfile
-from .persistence import load_campaign, save_campaign
 from .propagation import PropagationRecord, PropagationTracer
 from .severity import InjectionRecord, SeverityInjector
 from .site import FaultSite, parse_site
@@ -34,9 +33,7 @@ __all__ = [
     "ResilienceProfile",
     "SeverityInjector",
     "exhaustive_campaign",
-    "load_campaign",
     "parse_site",
     "random_campaign",
     "run_campaign",
-    "save_campaign",
 ]

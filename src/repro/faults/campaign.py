@@ -59,6 +59,7 @@ def run_campaign(
     sites: Iterable[FaultSite],
     weights: Iterable[float] | None = None,
     *,
+    static_masked_weight: float = 0.0,
     executor=None,
     progress=None,
     total: int | None = None,
@@ -74,6 +75,10 @@ def run_campaign(
     Args:
         sites: any iterable of fault sites — consumed exactly once.
         weights: optional per-site weights, zipped strictly against sites.
+            Each weight is stamped on its site's ``InjectionEvent``.
+        static_masked_weight: weight counted as masked without injecting
+            (a pruned space's static masked sites), recorded on the
+            ``start`` record and added after the last injection.
         executor: a :class:`~repro.parallel.ParallelCampaignRunner` (or
             anything with its ``imap`` signature) to fan injections over
             worker processes; ``None`` injects serially in-process
@@ -89,8 +94,9 @@ def run_campaign(
         label: campaign tag recorded in :class:`CampaignEvent`.
         live: a :class:`~repro.observe.live.LiveAggregator`, attached to
             the injector's telemetry for the campaign's duration so it
-            folds every ``InjectionEvent`` (serial and pooled executors
-            alike).  Needs enabled telemetry (``ValueError`` otherwise).
+            folds the ``start`` record and every ``InjectionEvent``
+            (serial and pooled executors alike).  Needs enabled
+            telemetry (``ValueError`` otherwise).
             Advisory: outcomes and the profile are identical with or
             without it.
         until_ci: convergence target — once the widest Wilson CI
@@ -98,11 +104,10 @@ def run_campaign(
             the campaign reports ``converged``.  Computed from the
             parent's in-order outcome stream, so the verdict (and any
             early stop) is deterministic for a fixed seed regardless of
-            worker count.
+            worker count.  ``ValueError`` in a weighted campaign: a
+            Wilson CI over weighted sites measures no error.
         early_stop: with ``until_ci``, actually stop at convergence
-            instead of just flagging it.  Only meaningful for *sampled*
-            campaigns — truncating a weighted exhaustive enumeration
-            would bias the profile, so drivers keep this False there.
+            instead of just flagging it.
         confidence: CI confidence level for the convergence signal.
     """
     telemetry = injector.telemetry
@@ -111,11 +116,24 @@ def run_campaign(
             "live= folds the campaign's telemetry events; "
             "give the injector an enabled Telemetry"
         )
+    if until_ci is not None and (weights is not None or static_masked_weight):
+        raise ValueError(
+            "until_ci judges unweighted outcome counts; a weighted "
+            "campaign has no sampling CI"
+        )
     if total is None:
         try:
             total = len(sites)  # type: ignore[arg-type]
         except TypeError:
             total = None
+    if live is not None:
+        spec = getattr(injector.instance, "spec", None)
+        live.begin(
+            total=total,
+            kernel=getattr(spec, "key", "") or "",
+            label=label,
+            telemetry=telemetry,
+        )
     if telemetry.enabled:
         telemetry.emit(
             CampaignEvent(
@@ -123,7 +141,9 @@ def run_campaign(
                 phase="start",
                 campaign=label,
                 n_sites=total if total is not None else -1,
-                profile=None,
+                profile=(
+                    {"masked": static_masked_weight} if static_masked_weight else None
+                ),
             )
         )
     pairs = (
@@ -135,14 +155,6 @@ def run_campaign(
         from ..parallel import SerialExecutor
 
         executor = SerialExecutor()
-    if live is not None:
-        spec = getattr(injector.instance, "spec", None)
-        live.begin(
-            total=total,
-            kernel=getattr(spec, "key", "") or "",
-            label=label,
-            telemetry=telemetry,
-        )
     if until_ci is not None:
         from ..observe.live import check_convergence
     kept_sites: list[FaultSite] = []
@@ -182,6 +194,8 @@ def run_campaign(
         close = getattr(stream, "close", None)
         if close is not None:
             close()
+    if static_masked_weight:
+        profile.add(Outcome.MASKED, static_masked_weight)
     if telemetry.enabled:
         telemetry.emit(
             CampaignEvent(

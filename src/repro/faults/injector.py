@@ -325,11 +325,11 @@ class FaultInjector:
 
     # ------------------------------------------------------------ injection
 
-    def inject(self, site: FaultSite) -> Outcome:
-        """Classify one single-bit flip using the sliced fast paths."""
-        return self.inject_spec(
-            site.thread, InjectionSpec(site.dyn_index, site.bit), label=str(site)
-        )
+    def inject(self, site: FaultSite, weight: float = 1.0) -> Outcome:
+        """Classify one single-bit flip using the sliced fast paths;
+        ``weight`` (the sites it stands for) only labels its event."""
+        spec = InjectionSpec(site.dyn_index, site.bit)
+        return self._inject(self._run_spec, site.thread, spec, str(site), True, weight)
 
     def inject_spec(
         self, thread: int, spec: InjectionSpec, label: str | None = None
@@ -338,7 +338,8 @@ class FaultInjector:
         return self._inject(self._run_spec, thread, spec, label, sliced=True)
 
     def _inject(
-        self, run, thread: int, spec: InjectionSpec, label: str | None, sliced: bool
+        self, run, thread: int, spec: InjectionSpec, label: str | None, sliced: bool,
+        weight: float = 1.0,
     ) -> Outcome:
         """Classify one injection through ``run``; instrumented campaigns
         also time it and record its :class:`InjectionEvent`.
@@ -384,6 +385,7 @@ class FaultInjector:
             outcome,
             fast_path=sliced and self.fallback_count == fallbacks_before,
             duration_s=time.perf_counter() - t0,
+            weight=weight,
             phases=phases,
             suffix_instructions=suffix_instructions,
             skipped_instructions=skipped_instructions,
@@ -726,6 +728,7 @@ class FaultInjector:
         outcome: Outcome,
         fast_path: bool,
         duration_s: float,
+        weight: float = 1.0,
         phases: dict[str, float] | None = None,
         suffix_instructions: int = 0,
         skipped_instructions: int = 0,
@@ -766,6 +769,7 @@ class FaultInjector:
                 outcome=outcome.value,
                 fast_path=fast_path,
                 duration_s=duration_s,
+                weight=weight,
                 backend=self.backend,
                 checkpoint_interval=self.checkpoint_interval,
                 suffix_instructions=suffix_instructions,

@@ -6,8 +6,9 @@ not.  This module is the live side:
 
 * a :class:`LiveAggregator` folds the campaign's
   :class:`~repro.telemetry.InjectionEvent` records into rolling state:
-  outcome shares with Wilson CIs, a sequential convergence signal (max
-  CI half-width vs an ``until_ci`` target), injections/sec and
+  weighted outcome shares (with Wilson CIs and a sequential convergence
+  signal — max CI half-width vs an ``until_ci`` target — while
+  unweighted), injections/sec and
   effective-instruction throughput, a work-projected ETA, per-worker
   liveness and stall detection, and depth-tertile latency.  It attaches
   to the campaign's :class:`~repro.telemetry.Telemetry` as a listener,
@@ -39,7 +40,7 @@ from pathlib import Path
 
 from ..errors import ReproError
 from ..stats.intervals import wilson_ci
-from ..telemetry.events import InjectionEvent, event_to_dict
+from ..telemetry.events import CampaignEvent, InjectionEvent, event_to_dict
 
 #: Version stamped on ``/status`` JSON snapshots and flight-recorder
 #: dumps so downstream consumers (the future ``repro.serve`` layer, CI
@@ -81,6 +82,41 @@ def max_half_width(
         wilson_ci(counts.get(outcome, 0), n, confidence).half_width
         for outcome in OUTCOME_ORDER
     )
+
+
+def outcome_rows(
+    weights: dict[str, float],
+    counts: dict[str, int] | None,
+    weighted: bool,
+    confidence: float = 0.95,
+) -> list[dict]:
+    """The outcome table of every view: per outcome the injection
+    ``count``, folded ``weight`` and weight ``share``, plus a Wilson CI
+    unless ``weighted`` (a weighted extrapolation is not a binomial
+    sample).  ``counts=None`` (a recorded profile) keys rows by weight."""
+    names = list(OUTCOME_ORDER) if counts is not None else list(weights)
+    names += sorted((set(weights) | set(counts or ())) - set(names))
+    n = sum(counts.values()) if counts is not None else 0
+    total = sum(weights.values())
+    rows = []
+    for name in names:
+        count = counts.get(name, 0) if counts is not None else None
+        ci = wilson_ci(count, n, confidence) if n and not weighted else None
+        rows.append({
+            "outcome": name,
+            "count": count,
+            "weight": weights.get(name, 0.0),
+            "share": weights.get(name, 0.0) / total if total else 0.0,
+            "ci_low": ci.low if ci else None,
+            "ci_high": ci.high if ci else None,
+            "half_width": ci.half_width if ci else None,
+        })
+    return rows
+
+
+def weighted_rows(rows) -> bool:
+    """Does some outcome row weigh other than its count?"""
+    return any(row.get("weight", row["count"]) != row["count"] for row in rows)
 
 
 def check_convergence(
@@ -144,6 +180,9 @@ class LiveAggregator:
         self.state = "pending"  # running | converged | done | crashed
         self.done = 0
         self.outcome_counts: dict[str, int] = {}
+        #: Event weights plus the ``start`` records' static masked weight.
+        self.outcome_weights: dict[str, float] = {}
+        self.weighted = False  # any folded weight other than 1.0
         self.duration_total_s = 0.0
         self.effective_instructions = 0
         self.started_at: float | None = None
@@ -269,7 +308,13 @@ class LiveAggregator:
         return state
 
     def fold(self, event) -> None:
-        """Fold one telemetry event in; only InjectionEvents count."""
+        """Fold one telemetry event in: an InjectionEvent, or the static
+        masked weight a ``start`` record carries."""
+        if isinstance(event, CampaignEvent) and event.phase == "start":
+            with self._lock:
+                for outcome, weight in (event.profile or {}).items():
+                    self._weigh(outcome, weight, weighted=True)
+            return
         if not isinstance(event, InjectionEvent):
             return
         with self._lock:
@@ -281,6 +326,7 @@ class LiveAggregator:
             self.done += 1
             outcome = event.outcome
             self.outcome_counts[outcome] = self.outcome_counts.get(outcome, 0) + 1
+            self._weigh(outcome, event.weight, weighted=event.weight != 1.0)
             duration = event.duration_s
             self.duration_total_s += duration
             self.effective_instructions += event.effective_instructions
@@ -307,6 +353,10 @@ class LiveAggregator:
                 self._reservoir.append(sample)
             else:
                 self._reservoir[(self._seen * 2654435761) % _RESERVOIR_CAP] = sample
+
+    def _weigh(self, outcome: str, weight: float, weighted: bool) -> None:
+        self.outcome_weights[outcome] = self.outcome_weights.get(outcome, 0.0) + weight
+        self.weighted = self.weighted or weighted
 
     # ------------------------------------------------------------- state
 
@@ -393,19 +443,9 @@ class LiveAggregator:
         with self._lock:
             now_mono = self._monotonic()
             n = self.done
-            outcome_rows = []
-            for outcome in OUTCOME_ORDER:
-                count = self.outcome_counts.get(outcome, 0)
-                ci = wilson_ci(count, n, self.confidence) if n else None
-                outcome_rows.append({
-                    "outcome": outcome,
-                    "count": count,
-                    "share": count / n if n else 0.0,
-                    "ci_low": ci.low if ci else None,
-                    "ci_high": ci.high if ci else None,
-                    "half_width": ci.half_width if ci else None,
-                })
-            width = max_half_width(self.outcome_counts, n, self.confidence)
+            width = None if self.weighted else max_half_width(
+                self.outcome_counts, n, self.confidence
+            )
             converged = self.converged or (
                 self.until_ci is not None
                 and width is not None
@@ -441,7 +481,10 @@ class LiveAggregator:
                 "pct": (100.0 * n / self.total) if self.total else None,
                 "elapsed_s": self.elapsed_s,
                 "eta_s": self.eta_s,
-                "outcomes": outcome_rows,
+                "outcomes": outcome_rows(
+                    self.outcome_weights, self.outcome_counts, self.weighted,
+                    self.confidence,
+                ),
                 "convergence": {
                     "target": self.until_ci,
                     "confidence": self.confidence,
@@ -504,10 +547,14 @@ def render_live(snapshot: dict, width: int = 78) -> str:
     convergence = snapshot.get("convergence") or {}
     target = convergence.get("target")
     confidence = convergence.get("confidence", 0.95)
+    rows = snapshot.get("outcomes", ())
     lines.append("")
-    suffix = f", target ±{100 * target:.1f}pp" if target is not None else ""
-    lines.append(f"outcomes (Wilson {100 * confidence:.0f}% CI{suffix}):")
-    for row in snapshot.get("outcomes", ()):
+    if weighted_rows(rows):
+        lines.append("outcomes (weighted):")
+    else:
+        suffix = f", target ±{100 * target:.1f}pp" if target is not None else ""
+        lines.append(f"outcomes (Wilson {100 * confidence:.0f}% CI{suffix}):")
+    for row in rows:
         ci = ""
         if row.get("ci_low") is not None:
             ci = (

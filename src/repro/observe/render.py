@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 
+from .live import weighted_rows
+
 
 def _ms(seconds: float) -> str:
     return f"{seconds * 1e3:.2f}ms"
@@ -19,14 +21,22 @@ def _pct(fraction: float) -> str:
     return f"{fraction * 100.0:.1f}%"
 
 
+def _count(row: dict) -> str:  # "-": a recorded profile, no events
+    return "-" if row["count"] is None else str(row["count"])
+
+
 def _outcome_lines(report: dict) -> list[str]:
-    lines = []
-    for row in report["outcomes"]:
+    rows = report["outcomes"]
+    if weighted_rows(rows):
+        lines = ["outcomes (weighted):"]
+    else:
+        lines = [f"outcomes (Wilson {_pct(report['meta']['confidence'])} CI):"]
+    for row in rows:
         ci = ""
         if row["ci_low"] is not None:
             ci = f"  [{_pct(row['ci_low'])}, {_pct(row['ci_high'])}]"
         lines.append(
-            f"  {row['outcome']:<7s} {row['count']:>7d}  {_pct(row['share']):>6s}{ci}"
+            f"  {row['outcome']:<7s} {_count(row):>7s}  {_pct(row['share']):>6s}{ci}"
         )
     return lines
 
@@ -52,7 +62,6 @@ def render_text(report: dict) -> str:
         )
 
     lines.append("")
-    lines.append(f"outcomes (Wilson {_pct(meta['confidence'])} CI):")
     lines.extend(_outcome_lines(report))
 
     latency = report["latency"]
@@ -263,7 +272,7 @@ def render_markdown(report: dict) -> str:
             else "-"
         )
         out.append(
-            f"| {row['outcome']} | {row['count']} | {_pct(row['share'])} | {ci} |"
+            f"| {row['outcome']} | {_count(row)} | {_pct(row['share'])} | {ci} |"
         )
 
     latency = report["latency"]

@@ -4,7 +4,8 @@ The report is a plain nested dict — renderers (text/markdown/JSON) and
 tests consume the same structure.  Sections:
 
 * ``meta``        — kernel, sources, counts, backends, wall-clock span;
-* ``outcomes``    — per-outcome counts with Wilson confidence intervals;
+* ``outcomes``    — per-outcome counts and weighted shares (the
+  campaign's profile), with Wilson confidence intervals while unweighted;
 * ``latency``     — per-injection duration percentiles;
 * ``phases``      — where injection milliseconds go, by pipeline phase;
 * ``tertiles``    — latency and phase mix by fault-site depth tertile;
@@ -23,8 +24,8 @@ stages) are present but ``None`` so renderers can skip them cleanly.
 
 from __future__ import annotations
 
-from ..stats.intervals import wilson_ci
 from ..telemetry.events import PHASE_NAMES
+from .live import outcome_rows
 from .loader import CampaignLog
 from .propagation import build_propagation_section
 
@@ -71,19 +72,10 @@ def _phase_section(injections) -> dict | None:
         return None
     duration_total = sum(e.duration_s for e in injections)
     attributed = sum(totals.values())
-    ordered = sorted(PHASE_NAMES, key=list(PHASE_NAMES).index)
+    # Current phases in pipeline order, then others (older logs' phases).
+    names = [n for n in PHASE_NAMES if n in totals]
     rows = []
-    for name in ordered:
-        if name not in totals:
-            continue
-        seconds = totals[name]
-        rows.append({
-            "phase": name,
-            "total_s": seconds,
-            "mean_s": seconds / len(injections),
-            "share": seconds / duration_total if duration_total else 0.0,
-        })
-    for name in sorted(set(totals) - set(ordered)):  # future phases
+    for name in names + sorted(set(totals) - set(names)):
         seconds = totals[name]
         rows.append({
             "phase": name,
@@ -265,6 +257,31 @@ def _straggler_section(log: CampaignLog) -> dict | None:
     }
 
 
+def _outcome_section(log: CampaignLog, confidence: float) -> list[dict]:
+    """The campaign's profile: its injections' weights plus the static
+    masked weight of its ``start`` records (coherence-audit probes, with
+    ``group`` set, feed only the propagation section).  Without injection
+    events, the profile the manifests recorded."""
+    counts: dict[str, int] = {}
+    weights: dict[str, float] = {}
+    weighted = False
+    for event in log.injections:
+        if event.group is None:
+            counts[event.outcome] = counts.get(event.outcome, 0) + 1
+            weights[event.outcome] = weights.get(event.outcome, 0.0) + event.weight
+            weighted = weighted or event.weight != 1.0
+    recorded = [s.profile for s in log.campaigns if s.phase == "start" and s.profile]
+    if not log.injections:
+        counts = None
+        recorded = [m.profile["weights"] for m in log.manifests if m.profile]
+    for profile in recorded:
+        for outcome, weight in profile.items():
+            weights[outcome] = weights.get(outcome, 0.0) + weight
+    if not weights:
+        return []
+    return outcome_rows(weights, counts, weighted or bool(recorded), confidence)
+
+
 def build_report(
     log: CampaignLog, confidence: float = 0.95, propagation: bool = False
 ) -> dict:
@@ -276,35 +293,12 @@ def build_report(
     histograms = metrics.get("histograms", {})
 
     n = len(injections)
-    outcomes: dict[str, int] = {}
-    for event in injections:
-        outcomes[event.outcome] = outcomes.get(event.outcome, 0) + 1
-    outcome_rows = []
-    for outcome in ("masked", "sdc", "crash", "hang"):
-        count = outcomes.pop(outcome, 0)
-        if count == 0 and n == 0:
-            continue
-        ci = wilson_ci(count, n, confidence) if n else None
-        outcome_rows.append({
-            "outcome": outcome,
-            "count": count,
-            "share": count / n if n else 0.0,
-            "ci_low": ci.low if ci else None,
-            "ci_high": ci.high if ci else None,
-        })
-    for outcome, count in sorted(outcomes.items()):  # future outcome kinds
-        ci = wilson_ci(count, n, confidence) if n else None
-        outcome_rows.append({
-            "outcome": outcome,
-            "count": count,
-            "share": count / n if n else 0.0,
-            "ci_low": ci.low if ci else None,
-            "ci_high": ci.high if ci else None,
-        })
-
+    fast = sum(1 for e in injections if e.fast_path)
+    if not injections:  # a manifest-only report: the recorded totals
+        n = int(counters.get("injections.total", 0))
+        fast = counters.get("injections.fast_path", 0)
     timestamps = [e.ts for e in log.events]
     backends = sorted({e.backend for e in injections})
-    fast = sum(1 for e in injections if e.fast_path)
     return {
         "meta": {
             "kernel": log.kernel,
@@ -322,7 +316,7 @@ def build_report(
             "wall_span_s": (max(timestamps) - min(timestamps)) if timestamps else 0.0,
             "confidence": confidence,
         },
-        "outcomes": outcome_rows,
+        "outcomes": _outcome_section(log, confidence),
         "latency": _latency_summary([e.duration_s for e in injections])
         if injections
         else None,

@@ -20,10 +20,11 @@ When the parent campaign is instrumented, each worker records into a
 private in-memory :class:`~repro.telemetry.Telemetry`; the deltas
 (events, counters, gauges, histograms) ship back with each chunk and
 are absorbed into the parent handle (counters add, gauges
-last-write-win, histogram stats combine).  A live
+last-write-win, histogram stats combine): a chunk's metrics on
+arrival, each injection's events just before its outcome is yielded, so
+an early stop records only what it classified.  A live
 :class:`~repro.observe.live.LiveAggregator` listens to the parent's
-handle, so it folds each chunk's ``InjectionEvent`` records as the
-parent absorbs them: in order, once per drained chunk.  When an
+handle, so it folds the ``InjectionEvent`` records in order.  When an
 injection raises, :func:`_inject` leaves the crash context (worker,
 site, traceback, the chunk's unshipped events) on the exception, which
 rides the same result path back.
@@ -63,7 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> parallel)
 DEFAULT_CHUNK_SIZE = 32
 
 
-def _inject(injector, site, worker: str = "serial"):
+def _inject(injector, site, weight: float, worker: str = "serial"):
     """One injection; a failure carries its crash context to the parent.
 
     Sets ``exc.crash_context = {worker, site, traceback, ring}`` before
@@ -73,7 +74,7 @@ def _inject(injector, site, worker: str = "serial"):
     the exception, so the context survives ``Pool.apply_async``.
     """
     try:
-        return injector.inject(site)
+        return injector.inject(site, weight)
     except BaseException as exc:
         ring = None
         if worker != "serial":
@@ -103,7 +104,7 @@ class SerialExecutor:
         pairs: Iterable[tuple["FaultSite", float]],
     ) -> Iterator[tuple["FaultSite", float, "Outcome"]]:
         for site, weight in pairs:
-            yield site, weight, _inject(injector, site)
+            yield site, weight, _inject(injector, site, weight)
 
 
 # ----------------------------------------------------------- worker side
@@ -187,7 +188,7 @@ def _init_worker(payload: dict) -> None:
 
 
 def _run_chunk(
-    sites: list["FaultSite"], submitted_at: float | None = None
+    pairs: list[tuple["FaultSite", float]], submitted_at: float | None = None
 ) -> tuple[list[str], int, dict | None]:
     """Classify one chunk; ship outcome values + telemetry/fallback deltas."""
     injector = _WORKER_INJECTOR
@@ -202,14 +203,14 @@ def _run_chunk(
         )
     busy_t0 = time.perf_counter()
     fallbacks_before = injector.fallback_count
-    outcomes = [_inject(injector, site, name).value for site in sites]
+    outcomes = [_inject(injector, site, weight, name).value for site, weight in pairs]
     fallback_delta = injector.fallback_count - fallbacks_before
     snapshot = None
     if telemetry.enabled:
         telemetry.count(f"parallel.worker.{name}.busy_s",
                         time.perf_counter() - busy_t0)
         telemetry.count(f"parallel.worker.{name}.chunks")
-        telemetry.count(f"parallel.worker.{name}.injections", len(sites))
+        telemetry.count(f"parallel.worker.{name}.injections", len(pairs))
         sink = telemetry.sink
         snapshot = {
             "events": [event_to_dict(e) for e in sink.events],
@@ -311,19 +312,29 @@ class ParallelCampaignRunner:
             # crash inside a worker surfaces exactly like a serial one.
             outcomes, fallback_delta, snapshot = handle.get()
             injector.fallback_count += fallback_delta
+            records = [()] * len(chunk)
             if telemetry.enabled:
                 telemetry.count("parallel.chunks")
                 if snapshot is not None:
-                    telemetry.absorb(snapshot)
-            for (site, weight), value in zip(chunk, outcomes, strict=True):
+                    worker, events = snapshot["worker"], snapshot["events"]
+                    telemetry.absorb({"metrics": snapshot["metrics"], "worker": worker})
+                    # Per injection: its sim_run records, then its own.
+                    ends = [
+                        i + 1 for i, e in enumerate(events) if e["event"] == "injection"
+                    ]
+                    records = [events[a:b] for a, b in zip([0, *ends], ends)]
+            for (site, weight), value, group in zip(
+                chunk, outcomes, records, strict=True
+            ):
+                if group:
+                    telemetry.absorb({"events": group, "worker": worker})
                 yield site, weight, Outcome(value)
 
         instrumented = telemetry.enabled
         for chunk in self._chunked(pairs):
-            sites = [site for site, _weight in chunk]
             submitted_at = time.time() if instrumented else None
             pending.append(
-                (chunk, pool.apply_async(_run_chunk, (sites, submitted_at)))
+                (chunk, pool.apply_async(_run_chunk, (chunk, submitted_at)))
             )
             if len(pending) >= 4 * self.workers:
                 yield from drain_one()

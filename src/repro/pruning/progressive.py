@@ -20,7 +20,7 @@ import numpy as np
 from ..errors import PruningError
 from ..faults.campaign import run_campaign
 from ..faults.injector import FaultInjector
-from ..faults.outcome import Outcome, ResilienceProfile
+from ..faults.outcome import ResilienceProfile
 from ..faults.site import FaultSite
 from ..telemetry import StageEvent, Telemetry
 from .bitwise import BitPlan, plan_bits
@@ -68,39 +68,24 @@ class PrunedSpace:
         return self.total_sites / len(self.sites)
 
     def estimate_profile(
-        self,
-        injector: FaultInjector,
-        executor=None,
-        progress=None,
-        live=None,
-        until_ci: float | None = None,
+        self, injector: FaultInjector, executor=None, progress=None, live=None
     ) -> ResilienceProfile:
-        """Exhaustively inject the pruned space and extrapolate.
-
-        Every weighted injection records into the injector's telemetry
-        and fires ``progress``, like any other campaign; ``executor``
-        fans the weighted injections over worker processes (see
-        :mod:`repro.parallel`) without changing the profile;
-        ``live``/``until_ci`` attach the streaming plane and convergence
-        signal.  The enumeration is weighted-exhaustive, so convergence
-        is *reported* but never stops the campaign early.
-        """
-        result = run_campaign(
+        """Exhaustively inject the pruned space and extrapolate: one
+        weighted :func:`~repro.faults.campaign.run_campaign` (``executor``,
+        ``progress`` and ``live`` pass through) that also counts the
+        static masked weight."""
+        return run_campaign(
             injector,
             (ws.site for ws in self.sites),
             weights=(ws.weight for ws in self.sites),
+            static_masked_weight=self.static_masked_weight,
             executor=executor,
             progress=progress,
             total=len(self.sites),
             keep_sites=False,
             label="pruned-estimate",
             live=live,
-            until_ci=until_ci,
-        )
-        profile = result.profile
-        if self.static_masked_weight:
-            profile.add(Outcome.MASKED, self.static_masked_weight)
-        return profile
+        ).profile
 
 
 @dataclass

@@ -5,7 +5,7 @@ Every observable moment of a campaign maps to one event type:
 * :class:`SimRunEvent`       — one kernel launch (golden, CTA-sliced or
   full faulty re-execution) with instruction/barrier counts;
 * :class:`InjectionEvent`    — one classified injection (site, model,
-  outcome, fast-path vs fallback, duration);
+  outcome, weight, fast-path vs fallback, duration);
 * :class:`StageEvent`        — one pruning stage (sites before/after);
 * :class:`CampaignEvent`     — campaign start/end with the aggregated
   profile.
@@ -39,18 +39,19 @@ from ..errors import ReproError
 #: phases (convergence-bounded injection with golden-suffix splicing).
 #: v5 added :class:`HeartbeatEvent` — worker liveness records the live
 #: streaming plane (``repro.observe.live``) once emitted.
-EVENTS_SCHEMA_VERSION = 5
+#: v6 added ``weight`` on :class:`InjectionEvent` and the static masked
+#: weight on ``start`` records, and dropped ``spliced_instructions``.
+EVENTS_SCHEMA_VERSION = 6
 
 #: Per-injection phase names, in pipeline order.  ``InjectionEvent.phases``
 #: maps a subset of these to seconds spent (phases that did not occur —
 #: e.g. ``checkpoint_restore`` with checkpointing disabled — are absent).
+#: v4/v5 logs may carry the removed ``resync_scan``/``suffix_splice``.
 PHASE_NAMES = (
     "queue_wait",
     "checkpoint_restore",
     "prefix_replay",
     "suffix_exec",
-    "resync_scan",
-    "suffix_splice",
     "heap_repair",
     "classify",
     "propagation_trace",
@@ -92,6 +93,7 @@ class InjectionEvent(TelemetryEvent):
     outcome: str  # Outcome value: "masked" | "sdc" | "crash" | "hang"
     fast_path: bool  # classified on a thread or CTA slice (no full re-run)
     duration_s: float
+    weight: float = 1.0  # exhaustive sites it stands for; 1.0 when sampled
     backend: str = "interpreter"  # the backend that ran; never "auto"
     checkpoint_interval: int = 0  # 0 = checkpointing disabled
     suffix_instructions: int = 0  # instructions actually executed (suffix only)
@@ -99,7 +101,6 @@ class InjectionEvent(TelemetryEvent):
     #: executed suffix + checkpoint-skipped prefix.  Logs written before
     #: golden-resync splicing was removed also count its spliced suffix.
     effective_instructions: int = 0
-    spliced_instructions: int = 0  # removed resync splicing; 0 in new logs
     phases: dict | None = None  # phase name -> seconds (see PHASE_NAMES)
     worker: str | None = None  # pool worker name; None when serial
     #: Propagation-trace payload (PropagationRecord.to_dict()); None when
@@ -144,7 +145,9 @@ class CampaignEvent(TelemetryEvent):
     phase: str
     campaign: str  # "explicit" | "random" | "exhaustive" | "pruned-estimate"
     n_sites: int  # planned (start) or completed (end); -1 when unknown
-    profile: dict | None  # category -> weight, present on "end" only
+    #: category -> weight: the profile on "end"; on "start" the static
+    #: masked weight counted without injecting (None when there is none).
+    profile: dict | None
 
 
 #: JSONL record name -> event class (the ``"event"`` key of each line).

@@ -5,6 +5,7 @@ import pytest
 
 from repro import FaultInjector, exhaustive_campaign, random_campaign, run_campaign
 from repro.faults import FaultSite
+from repro.telemetry import CampaignEvent, InjectionEvent, MemorySink, Telemetry
 
 from ..helpers import build_saxpy_instance
 
@@ -25,6 +26,31 @@ class TestRunCampaign:
         sites = injector.space.sample(4, np.random.default_rng(0))
         result = run_campaign(injector, sites, weights=[1.0, 2.0, 3.0, 4.0])
         assert result.profile.total_weight == pytest.approx(10.0)
+
+    def test_weights_and_static_weight_reach_the_events(self):
+        telemetry = Telemetry(sink=MemorySink())
+        injector = FaultInjector(
+            build_saxpy_instance(n=6, block=3), telemetry=telemetry
+        )
+        sites = injector.space.sample(3, np.random.default_rng(0))
+        result = run_campaign(
+            injector, sites, weights=[1.0, 2.5, 4.0], static_masked_weight=3.0
+        )
+        start, end = telemetry.sink.of_type(CampaignEvent)
+        assert start.profile == {"masked": 3.0}
+        assert [e.weight for e in telemetry.sink.of_type(InjectionEvent)] == [
+            1.0, 2.5, 4.0,
+        ]
+        assert result.profile.total_weight == pytest.approx(10.5)
+        assert end.profile == result.profile.weights
+
+    @pytest.mark.parametrize(
+        "weighting", [{"weights": [2.0] * 4}, {"static_masked_weight": 1.0}]
+    )
+    def test_until_ci_refuses_a_weighted_campaign(self, injector, weighting):
+        sites = injector.space.sample(4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="weighted"):
+            run_campaign(injector, sites, until_ci=0.5, **weighting)
 
 
 class TestRandomCampaign:

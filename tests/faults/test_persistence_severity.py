@@ -1,22 +1,11 @@
-"""Tests for campaign persistence and SDC-severity analysis."""
-
-import json
-import math
+"""Tests for SDC-severity analysis."""
 
 import numpy as np
 import pytest
 
 from repro import FaultInjector, Outcome, random_campaign
 from repro import load_instance
-from repro.errors import ReproError
-from repro.faults import (
-    FaultSite,
-    InjectionRecord,
-    SeverityInjector,
-    load_campaign,
-    save_campaign,
-)
-from repro.faults.persistence import campaign_from_dict, campaign_to_dict
+from repro.faults import FaultSite, InjectionRecord, SeverityInjector
 
 from ..helpers import build_saxpy_instance
 
@@ -24,34 +13,6 @@ from ..helpers import build_saxpy_instance
 @pytest.fixture(scope="module")
 def injector():
     return FaultInjector(build_saxpy_instance())
-
-
-class TestPersistence:
-    def test_roundtrip(self, injector, tmp_path):
-        result = random_campaign(injector, 12, rng=0)
-        path = tmp_path / "campaign.json"
-        save_campaign(result, path, kernel="saxpy")
-        loaded = load_campaign(path)
-        assert loaded.sites == result.sites
-        assert loaded.outcomes == result.outcomes
-        assert loaded.profile.as_percentages() == result.profile.as_percentages()
-
-    def test_file_is_plain_json(self, injector, tmp_path):
-        result = random_campaign(injector, 3, rng=0)
-        path = tmp_path / "c.json"
-        save_campaign(result, path, kernel="saxpy")
-        data = json.loads(path.read_text())
-        assert data["kernel"] == "saxpy"
-        assert len(data["runs"]) == 3
-
-    def test_version_checked(self):
-        with pytest.raises(ReproError):
-            campaign_from_dict({"version": 999, "runs": []})
-
-    def test_dict_roundtrip_preserves_weights(self, injector):
-        result = random_campaign(injector, 5, rng=1)
-        clone = campaign_from_dict(campaign_to_dict(result))
-        assert clone.profile.weights == result.profile.weights
 
 
 class TestSeverity:

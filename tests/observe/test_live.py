@@ -19,7 +19,13 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro import FaultInjector, load_instance, random_campaign, run_campaign
+from repro import (
+    FaultInjector,
+    ProgressivePruner,
+    load_instance,
+    random_campaign,
+    run_campaign,
+)
 from repro.errors import FaultInjectionError, ReproError
 from repro.faults.site import FaultSite
 from repro.observe.live import (
@@ -36,6 +42,7 @@ from repro.observe.statusd import StatusFileWriter, StatusServer, watch
 from repro.parallel import ParallelCampaignRunner
 from repro.telemetry import (
     NULL_TELEMETRY,
+    CampaignEvent,
     InjectionEvent,
     MemorySink,
     NullSink,
@@ -265,6 +272,24 @@ class TestRenderLive:
         aggregator.abort(crashed("w9", "t1/i2/b3", ValueError("dead"), ring=[]))
         assert "worker crash: w9" in render_live(aggregator.snapshot())
 
+    def test_weighted_view_has_no_ci_or_convergence_line(self):
+        aggregator = LiveAggregator(total=2, kernel="demo.k1")
+        aggregator.begin(label="pruned-estimate")
+        aggregator.fold(
+            CampaignEvent(0.0, phase="start", campaign="pruned-estimate",
+                          n_sites=2, profile={"masked": 6.0})
+        )
+        aggregator.fold(injection_event(outcome="sdc"))
+        snap = aggregator.snapshot()
+        shares = {row["outcome"]: row for row in snap["outcomes"]}
+        assert (shares["masked"]["count"], shares["masked"]["weight"]) == (0, 6.0)
+        assert shares["sdc"]["share"] == pytest.approx(1 / 7)
+        assert all(row["ci_low"] is None for row in snap["outcomes"])
+        assert snap["convergence"]["max_half_width"] is None
+        text = render_live(snap)
+        assert "outcomes (weighted):" in text
+        assert "Wilson" not in text and "convergence:" not in text
+
 
 @pytest.fixture(scope="module")
 def conv2d_serial():
@@ -408,6 +433,50 @@ class TestAdvisoryEquivalence:
             == result.profile.n_injections
         )
         assert events_at_first_progress == [1]
+
+    def test_pooled_early_stop_records_only_what_it_classified(self):
+        """A pooled early stop absorbs each injection's events just before
+        its outcome, so the chunk it stops in adds no unclassified ones."""
+        telemetry = Telemetry(sink=MemorySink())
+        injector = FaultInjector(load_instance("mvt.k1"), telemetry=telemetry)
+        live = LiveAggregator(until_ci=0.03)
+        result = random_campaign(
+            injector,
+            1068,
+            rng=2018,
+            until_ci=0.03,
+            early_stop=True,
+            executor=make_runner(2, chunk_size=32),
+            live=live,
+        )
+        assert result.stopped_early
+        assert (
+            len(telemetry.sink.of_type(InjectionEvent))
+            == live.done
+            == result.profile.n_injections
+            == 961
+        )
+        # The metrics merge whole chunks: the executed ones count.
+        assert telemetry.metrics.counter_value("injections.total") == 992
+
+    def test_pruned_campaign_live_view_is_the_profile(self):
+        telemetry = Telemetry(sink=NullSink())
+        injector = FaultInjector(load_instance("gaussian.k125"), telemetry=telemetry)
+        space = ProgressivePruner(num_loop_iters=4, n_bits=4).prune(injector)
+        live = LiveAggregator()
+        profile = space.estimate_profile(injector, live=live)
+        assert space.static_masked_weight > 0
+        snap = live.snapshot()
+        shares = {row["outcome"]: row["share"] for row in snap["outcomes"]}
+        pct = profile.as_percentages()
+        assert 100 * shares["masked"] == pytest.approx(pct["masked"], abs=1e-9)
+        assert 100 * shares["sdc"] == pytest.approx(pct["sdc"], abs=1e-9)
+        assert 100 * (shares["crash"] + shares["hang"]) == pytest.approx(
+            pct["other"], abs=1e-9
+        )
+        assert snap["done"] == space.n_injections
+        assert snap["state"] == "done"
+        assert snap["convergence"]["max_half_width"] is None
 
 
 class TestAttachment:

@@ -15,7 +15,8 @@ from repro.observe import (
     render_markdown,
     render_text,
 )
-from repro.telemetry import InjectionEvent, JsonlSink
+from repro import FaultInjector, ProgressivePruner, load_instance
+from repro.telemetry import InjectionEvent, JsonlSink, Telemetry
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EVENTS = FIXTURES / "campaign.jsonl"
@@ -208,3 +209,54 @@ class TestReportCli:
         capsys.readouterr()
         assert main(["report", str(manifest)]) == 0
         assert "checkpoints (interval 16):" in capsys.readouterr().out
+
+    def test_manifest_only_report_shows_the_recorded_profile(
+        self, tmp_path, capsys
+    ):
+        """Without injection events the report renders the profile and the
+        injection total the manifest recorded."""
+        from repro.__main__ import main
+
+        manifest = tmp_path / "m.json"
+        assert main([
+            "profile", "pathfinder.k1", "--loop-iters", "2", "--bits", "2",
+            "--manifest", str(manifest),
+        ]) == 0
+        recorded = json.loads(manifest.read_text())
+        capsys.readouterr()
+        assert main(["report", str(manifest), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["meta"]["n_injections"] == 89
+        assert report["meta"]["n_injections"] == (
+            recorded["metrics"]["counters"]["injections.total"]
+        )
+        shares = {row["outcome"]: 100 * row["share"] for row in report["outcomes"]}
+        assert shares == pytest.approx(recorded["profile"]["percentages"], abs=1e-9)
+        assert all(row["count"] is None for row in report["outcomes"])
+        assert main(["report", str(manifest)]) == 0
+        text = capsys.readouterr().out
+        assert "injections=89" in text
+        assert "outcomes (weighted):" in text
+
+
+@pytest.mark.parametrize("kernel", ["gaussian.k125", "mvt.k1", "lud.k46"])
+def test_pruned_report_prints_the_profile(kernel, tmp_path):
+    """The report folds each injection's weight and the start record's
+    static weight: its shares are the profile ``estimate_profile`` built."""
+    path = tmp_path / "events.jsonl"
+    telemetry = Telemetry(sink=JsonlSink(path))
+    injector = FaultInjector(load_instance(kernel), telemetry=telemetry)
+    space = ProgressivePruner(num_loop_iters=4, n_bits=4, seed=2018).prune(injector)
+    profile = space.estimate_profile(injector)
+    telemetry.close()
+    report = build_report(load_campaign([path]))
+    shares = {row["outcome"]: 100 * row["share"] for row in report["outcomes"]}
+    pct = profile.as_percentages()
+    assert shares["masked"] == pytest.approx(pct["masked"], abs=1e-9)
+    assert shares["sdc"] == pytest.approx(pct["sdc"], abs=1e-9)
+    assert shares["crash"] + shares["hang"] == pytest.approx(pct["other"], abs=1e-9)
+    assert report["meta"]["n_injections"] == space.n_injections
+    # A weighted extrapolation is not a binomial sample: no Wilson CI.
+    assert all(row["ci_low"] is None for row in report["outcomes"])
+    text = render_text(report)
+    assert "outcomes (weighted):" in text and "Wilson" not in text

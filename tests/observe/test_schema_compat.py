@@ -4,7 +4,7 @@ The reader contract (``docs/observability.md``): every schema version
 ever shipped stays loadable — missing fields fall back to their
 dataclass defaults — while logs from a *newer* writer are rejected
 loudly rather than silently dropping fields.  The checked-in
-``events_v{2,3,4}.jsonl`` fixtures are frozen copies of real-era logs;
+``events_v{2,3,4,5}.jsonl`` fixtures are frozen copies of real-era logs;
 regenerating them to match a new schema would defeat the test.
 """
 
@@ -28,6 +28,7 @@ ERAS = {
     2: FIXTURES / "events_v2.jsonl",
     3: FIXTURES / "events_v3.jsonl",
     4: FIXTURES / "events_v4.jsonl",
+    5: FIXTURES / "events_v5.jsonl",
 }
 
 
@@ -48,7 +49,7 @@ def test_v2_era_fields_default():
     assert injection.propagation is None
     assert injection.group is None
     assert injection.effective_instructions == 0
-    assert injection.spliced_instructions == 0
+    assert injection.weight == 1.0
     # v2-era fields survive.
     assert injection.model == "iov"
     assert log.injections[2].worker == "ForkPoolWorker-1"
@@ -67,9 +68,20 @@ def test_v4_era_carries_effective_instructions():
     log = load_campaign([ERAS[4]])
     injection = log.injections[0]
     assert injection.effective_instructions == 900
-    assert injection.spliced_instructions == 500
-    assert "resync_scan" in injection.phases
+    # The removed splicing's count is dropped on read; its phases load.
+    assert not hasattr(injection, "spliced_instructions")
+    assert {"resync_scan", "suffix_splice"} <= set(injection.phases)
     assert log.heartbeats == []  # heartbeats postdate v4
+
+
+def test_v5_era_carries_heartbeats_and_unit_weights():
+    log = load_campaign([ERAS[5]])
+    assert [h.state for h in log.heartbeats] == ["online", "beat"]
+    assert log.heartbeats[1].done == 1
+    assert [e.worker for e in log.injections] == ["ForkPoolWorker-1", "ForkPoolWorker-2"]
+    # Weights and the start record's static weight postdate v5.
+    assert all(e.weight == 1.0 for e in log.injections)
+    assert log.campaigns[0].profile is None
 
 
 def test_matrix_covers_every_prior_schema():

@@ -170,13 +170,14 @@ def test_stages_with_telemetry_out(tmp_path, capsys):
 
 
 def test_until_ci_verdict_printed_and_no_live_is_gone(capsys):
-    args = ["profile", "pathfinder.k1", "--loop-iters", "2", "--bits", "2",
-            "--until-ci", "0.5"]
-    assert main(args) == 0
+    assert main(["baseline", "gaussian.k1", "--margin", "0.2", "--until-ci", "0.5"]) == 0
     assert "converged: every outcome share within ±50.0pp" in capsys.readouterr().out
-    with pytest.raises(SystemExit) as exit_info:
-        main([*args, "--no-live"])
-    assert exit_info.value.code == 2
+    # A pruned profile is a weighted extrapolation: no sampling CI to judge.
+    profile = ["profile", "pathfinder.k1", "--loop-iters", "2", "--bits", "2"]
+    for extra in (["--until-ci", "0.5"], ["--no-live"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*profile, *extra])
+        assert exit_info.value.code == 2
 
 
 def test_unknown_kernel_fails_loudly():
