@@ -8,20 +8,21 @@ and the golden output image.
 Injections execute over a ladder of progressively cheaper slices, each
 rung proven equivalent to the one below before its result is trusted:
 
-* **thread slice** — when the owning CTA provably exchanges no data
-  between its threads (no shared-memory instructions, the CTA's golden
-  global reads never touch its golden global writes, and no two of its
-  threads write the same byte), only the injected thread re-executes.
-  Dynamic read/write logs of the faulty run are checked against
-  precomputed byte-ownership masks; any overlap with what sibling
-  threads read or wrote demotes the run one rung.
+* **thread slice** — when the injected thread provably exchanges no data
+  with its siblings (no shared-memory instructions in the program; its
+  golden global reads touch no byte a sibling writes; its golden writes
+  touch no byte a sibling reads or writes), only that thread
+  re-executes.  Dynamic read/write logs of the faulty run are checked
+  the same way against a per-CTA index of the golden logs, built on the
+  first injection into the CTA; any byte a sibling read or wrote demotes
+  the run one rung.
 * **CTA slice** — the paper's fast path: the owning CTA re-executes
   against the initial heap (CTAs within one launch cannot communicate,
   so this is exact) and its writes are overlaid onto the golden final
   output image.  If a corrupted-but-in-bounds pointer wrote into another
   CTA's output territory, ordering against the other CTA matters, so the
-  overlap is detected via the same ownership masks and the run falls
-  back to a full re-execution.
+  overlap is detected via the same index and the per-byte count of
+  writing CTAs, and the run falls back to a full re-execution.
 * **full re-execution** — ``inject_full``, the reference slow path used
   for cross-validation and as the final fallback.  A CTA that shares a
   golden-written byte with another CTA (a benign race such as every
@@ -35,8 +36,8 @@ Hot-path engineering (see ``docs/performance.md``): one scratch heap is
 reused across injections and repaired from the write log instead of
 copying the golden heap; classification patches only the output image
 instead of a full heap snapshot; and cross-CTA/intra-CTA overlap checks
-are numpy slice operations over precomputed byte-ownership masks rather
-than per-byte ``set`` scans.
+are numpy operations over byte-ownership arrays rather than per-byte
+``set`` scans.
 
 Outcome classification (paper Section II-B):
 
@@ -67,7 +68,7 @@ from ..gpu.checkpoint import (
     derive_checkpoint_interval,
 )
 from ..gpu.isa import MemRef
-from ..gpu.tracing import TraceTable
+from ..gpu.tracing import TraceTable, read_log_arrays
 from ..kernels.registry import KernelInstance
 from ..telemetry import NULL_TELEMETRY, InjectionEvent, Telemetry
 from .model import FaultModel, InjectionSpec, RegisterFileSite, StoreAddressSite
@@ -89,12 +90,39 @@ def _span_bytes(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Every byte of the spans ``[start, start + length)``.
 
     One fancy index per distinct length (loads and stores move 2, 4 or 8
-    bytes), so the cost is a handful of array operations per log.
+    bytes), so the cost is a handful of array operations per log.  The
+    lengths come from a bincount, not ``np.unique``, which would import
+    ``numpy.ma`` (about 1 MB) into runs that never slice a thread.
     """
     parts = [np.empty(0, dtype=np.int64)]
-    for nbytes in np.unique(lengths).tolist():
+    for nbytes in np.flatnonzero(np.bincount(lengths)).tolist():
         parts.append((starts[lengths == nbytes][:, None] + np.arange(nbytes)).ravel())
     return np.concatenate(parts)
+
+
+def _log_spans(log, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window starts (from ``lo``) and lengths of a write log's spans."""
+    starts = np.fromiter((address for address, _ in log), np.int64, len(log)) - lo
+    return starts, np.fromiter((len(raw) for _, raw in log), np.int64, len(log))
+
+
+def _log_bytes(log, lo: int) -> np.ndarray:
+    """Window offsets (from ``lo``) of every byte a write log covers."""
+    return _span_bytes(*_log_spans(log, lo))
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` by sorting: numpy's hash-based ``unique`` took 244 ms
+    on one paper-gemm CTA's 263K read keys, a sort 4 ms."""
+    keys = np.sort(keys)
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
+def _in_spans(offsets: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Per span ``[start, end)``, how many of the sorted ``offsets`` it holds."""
+    return np.searchsorted(offsets, ends) - np.searchsorted(offsets, starts)
 
 
 def _program_uses_shared(program) -> bool:
@@ -121,8 +149,32 @@ class GoldenState:
 
     traces: TraceTable
     cta_write_logs: list
+    #: ``(addresses, sizes, slot counts)`` per CTA — see
+    #: :attr:`~repro.gpu.simulator.LaunchResult.cta_read_logs`.
     cta_read_logs: list | None
     thread_write_logs: list | None
+
+
+@dataclass
+class _CTAIndex:
+    """One CTA's golden byte ownership over the allocated heap window.
+
+    Built on the first injection into the CTA and cached.  ``writes``
+    marks the bytes the CTA wrote.  The rest exists only for kernels that
+    may thread-slice: ``touched``, the sorted window offsets some thread
+    of the CTA read or wrote; prefix sums of each touched byte's writer
+    and reader counts (``sums[j] - sums[i]`` totals ``touched[i:j]``);
+    and per slot, the sorted offsets the thread wrote, the offsets only
+    it reads, and whether it passes the thread-slice gate.
+    """
+
+    writes: np.ndarray
+    touched: np.ndarray | None = None
+    write_sums: np.ndarray | None = None
+    read_sums: np.ndarray | None = None
+    write_offsets: list[np.ndarray] | None = None
+    sole_reads: list[np.ndarray] | None = None
+    sliceable: list[bool] | None = None
 
 
 class FaultInjector:
@@ -216,11 +268,12 @@ class FaultInjector:
         self._cta_budget = (DEFAULT_HANG_FACTOR * cta_icnt.max(axis=1) + 256).tolist()
         self.fallback_count = 0  # full re-executions forced by write overlap
 
-        self._build_ownership_masks(result)
+        self._build_write_counts()
         self._build_output_image()
         # One scratch heap reused by every sliced faulty run; repaired
         # from the write log afterwards instead of re-copied.
         self._scratch_memory = instance.initial_memory.snapshot()
+        self._indexes: dict[int, _CTAIndex] = {}
         self._patches: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
         self._rf_prefix_cache: dict[int, tuple[list[int], list[tuple[str, ...]]]] = {}
 
@@ -240,71 +293,103 @@ class FaultInjector:
             thread_write_logs=self._thread_write_logs,
         )
 
-    def _build_ownership_masks(self, result) -> None:
-        """Byte-ownership masks over the allocated heap window.
+    def _build_write_counts(self) -> None:
+        """Per-byte count of writing CTAs over the allocated heap window.
 
-        ``_cta_write_mask[c][b]`` — CTA ``c`` wrote window byte ``b`` in
-        the golden run; ``_cta_write_count`` counts owning CTAs per byte,
-        so "some *other* CTA wrote this byte" is ``count > own`` — the
-        vectorised replacement for the former per-byte ``set`` scans.
+        ``_cta_write_count[b]`` counts the CTAs that wrote window byte
+        ``b`` in the golden run, folded from each CTA's written offsets,
+        so "some *other* CTA wrote this byte" is ``count > own``.
+        A CTA is exclusive when no other CTA writes a byte it writes;
+        only then can a slice's revert patch rebuild the golden image.
         Golden accesses all lie inside allocations, hence inside the
-        window, so their offsets index the masks directly.
+        window, so their offsets index it directly.
         """
-        geometry = self.instance.geometry
         lo, hi = self.instance.initial_memory.allocation_span()
         self._win_lo = lo
         self._win_size = size = hi - lo
-        n_ctas = geometry.n_ctas
-        self._cta_write_mask = np.zeros((n_ctas, size), dtype=bool)
-        for cta, log in enumerate(self._cta_write_logs):
-            mask = self._cta_write_mask[cta]
-            for address, raw in log:
-                start = address - lo
-                mask[start : start + len(raw)] = True
-        self._cta_write_count = self._cta_write_mask.sum(axis=0, dtype=np.int16)
-        # A CTA is exclusive when no other CTA writes a byte it writes;
-        # only then can a slice's revert patch rebuild the golden image.
-        shared = np.flatnonzero(self._cta_write_count > 1)
-        self._cta_exclusive = (~self._cta_write_mask[:, shared].any(axis=1)).tolist()
+        written = [_log_bytes(log, lo) for log in self._cta_write_logs]
+        count = np.zeros(size, dtype=np.int16)
+        for offsets in written:
+            # A fancy-index ``+=`` adds once per distinct offset, so a byte
+            # the CTA wrote twice still counts one writing CTA.
+            count[offsets] += 1
+        self._cta_write_count = count
+        self._cta_exclusive = [bool((count[offsets] == 1).all()) for offsets in written]
 
+    def _cta_index(self, cta: int) -> _CTAIndex:
+        """The cached :class:`_CTAIndex` of ``cta``, built on first use."""
+        index = self._indexes.get(cta)
+        if index is None:
+            index = self._indexes[cta] = self._build_cta_index(cta)
+        return index
+
+    def _build_cta_index(self, cta: int) -> _CTAIndex:
+        """Fold one CTA's golden logs into its :class:`_CTAIndex`.
+
+        Every (thread, byte) pair a golden read or write covers becomes
+        one ``slot * window + offset`` key; the sorted unique keys give
+        each slot's offsets as slices and each byte's reader and writer
+        counts as bincounts.  Thread ``t`` passes the gate when its reads
+        touch no byte a sibling writes and its writes touch no byte a
+        sibling reads or writes.  Reading its own output (``C = aAB +
+        bC``) is allowed: its golden behaviour then depends on no other
+        thread's schedule.
+        """
+        size = self._win_size
+        lo = self._win_lo
+        writes = np.zeros(size, dtype=bool)
+        writes[_log_bytes(self._cta_write_logs[cta], lo)] = True
         if not self._slicing_enabled:
-            self._cta_sliceable = [False] * n_ctas
-            return
-        self._cta_read_mask = np.zeros((n_ctas, size), dtype=bool)
-        for cta, (addresses, sizes) in enumerate(result.cta_read_logs):
-            self._cta_read_mask[cta][_span_bytes(addresses - lo, sizes)] = True
-        # Threads-per-byte counts within each CTA, plus each thread's own
-        # written-byte offsets (for subtracting its contribution): every
-        # (thread, byte) pair any golden write covers, as one sorted
-        # array of ``thread * size + offset`` keys.
-        entries = np.array(
-            [
-                (thread, address - lo, len(raw))
-                for thread, log in enumerate(result.thread_write_logs)
-                for address, raw in log
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 3)
-        threads, starts, lengths = entries.T
-        keys = np.unique(_span_bytes(threads * size + starts, lengths))
-        owner, offsets = np.divmod(keys, size)
-        ctas = owner // geometry.threads_per_cta
-        self._thread_write_count = np.zeros((n_ctas, size), dtype=np.int16)
-        np.add.at(self._thread_write_count, (ctas, offsets), 1)
-        bounds = np.searchsorted(owner, np.arange(1, geometry.n_threads))
-        self._thread_write_offsets: list[np.ndarray] = np.split(offsets, bounds)
-        racy = np.zeros(n_ctas, dtype=bool)
-        racy[ctas[self._thread_write_count[ctas, offsets] > 1]] = True
-        # A CTA is thread-sliceable when its golden reads never touch its
-        # golden writes (no thread observed any thread's output, so every
-        # thread's golden behaviour is schedule-independent) and each of
-        # its written bytes has one writer, which a thread patch reverts.
-        self._cta_sliceable = [
-            self._cta_exclusive[c]
-            and not racy[c]
-            and not (self._cta_read_mask[c] & self._cta_write_mask[c]).any()
-            for c in range(n_ctas)
-        ]
+            return _CTAIndex(writes)
+        tpc = self.instance.geometry.threads_per_cta
+        first = cta * tpc
+        logs = self._thread_write_logs[first : first + tpc]
+        write_keys = _sorted_unique(
+            np.concatenate(
+                [slot * size + _log_bytes(log, lo) for slot, log in enumerate(logs)]
+            )
+        )
+        addresses, sizes, counts = self._cta_read_logs[cta]
+        slots = np.repeat(np.tile(np.arange(tpc), len(counts)), counts.ravel())
+        read_keys = _sorted_unique(_span_bytes(slots * size + addresses - lo, sizes))
+        read_slot, read_offset = np.divmod(read_keys, size)
+        write_slot, write_offset = np.divmod(write_keys, size)
+        touched = _sorted_unique(np.concatenate((read_offset, write_offset)))
+        read_at = np.searchsorted(touched, read_offset)
+        write_at = np.searchsorted(touched, write_offset)
+        readers = np.bincount(read_at, minlength=touched.size)
+        writers = np.bincount(write_at, minlength=touched.size)
+        # A byte's sibling readers (writers) are its readers (writers)
+        # less the thread itself.
+        sibling_written = writers[read_at] > np.isin(
+            read_keys, write_keys, assume_unique=True
+        )
+        sibling_touched = (writers[write_at] > 1) | (
+            readers[write_at] > np.isin(write_keys, read_keys, assume_unique=True)
+        )
+        sliceable = np.full(tpc, self._cta_exclusive[cta])
+        sliceable[read_slot[sibling_written]] = False
+        sliceable[write_slot[sibling_touched]] = False
+        sole = readers[read_at] == 1
+        bounds = np.arange(1, tpc)
+        return _CTAIndex(
+            writes,
+            touched=touched,
+            write_sums=np.concatenate(([0], np.cumsum(writers))),
+            read_sums=np.concatenate(([0], np.cumsum(readers))),
+            write_offsets=np.split(write_offset, np.searchsorted(write_slot, bounds)),
+            sole_reads=np.split(
+                read_offset[sole], np.searchsorted(read_slot[sole], bounds)
+            ),
+            sliceable=sliceable.tolist(),
+        )
+
+    def _thread_sliceable(self, thread: int) -> bool:
+        """Does ``thread`` pass the thread-slice gate?"""
+        if not self._slicing_enabled:
+            return False
+        cta, slot = divmod(thread, self.instance.geometry.threads_per_cta)
+        return self._cta_index(cta).sliceable[slot]
 
     def _build_output_image(self) -> None:
         """The golden output image plus the heap→image region table."""
@@ -406,7 +491,7 @@ class FaultInjector:
             # image depends on the CTA order, which only the full run has.
             self.fallback_count += 1
             return self._run_spec_full(thread, spec, label)
-        if self._cta_sliceable[cta]:
+        if self._thread_sliceable(thread):
             outcome = self._run_slice("thread", thread, spec, label, cta)
             if outcome is not None:
                 if telemetry.enabled:
@@ -441,8 +526,9 @@ class FaultInjector:
 
         The prefix is prepended to the faulty log, so checks and
         classification see what a full-prefix replay would have written.
-        The prefix's *reads* need no replay: a thread-sliceable CTA's
-        golden reads provably never touch its golden writes.
+        The prefix's *reads* are absent from the read log and need no
+        check: the gate proves a sliceable thread's golden reads touch
+        no byte a sibling writes.
         """
         telemetry = self.telemetry
         memory = self._scratch_memory
@@ -822,13 +908,14 @@ class FaultInjector:
     def _writes_escape_cta(self, faulty_log, cta: int) -> bool:
         """Did the faulty CTA write bytes another CTA also writes?
 
-        Vectorised over the precomputed ownership masks: a span escapes
-        iff it is not fully covered by the CTA's own golden writes and at
-        least one of its bytes is owned by a different CTA
-        (``count > own`` byte-wise).  Skipping all-own spans is exact
-        for exclusive CTAs, the only ones the slices run.
+        Vectorised over the CTA index's write mask and the per-byte
+        count of writing CTAs: a span escapes iff it is not fully
+        covered by the CTA's own golden writes and at least one of its
+        bytes is owned by a different CTA (``count > own`` byte-wise).
+        Skipping all-own spans is exact for exclusive CTAs, the only ones
+        the slices run.
         """
-        own = self._cta_write_mask[cta]
+        own = self._cta_index(cta).writes
         count = self._cta_write_count
         lo = self._win_lo
         size = self._win_size
@@ -855,44 +942,43 @@ class FaultInjector:
     ) -> bool:
         """Did a thread-sliced run touch bytes sibling threads own?
 
-        True when the faulty thread read anything its CTA wrote, wrote
-        anything its CTA read, or wrote a byte some *other* thread of the
-        CTA also wrote — any of which makes the single-thread replay
-        schedule-dependent, so the CTA slice must decide instead.
+        The gate's test on the faulty logs: True when the thread read a
+        byte a sibling wrote, or wrote a byte a sibling read or wrote —
+        any of which makes the single-thread replay schedule-dependent,
+        so the CTA slice must decide instead.  Per span, siblings account
+        for the CTA's writer count less the thread's own written bytes
+        (the gate gives each of them no other writer), and for its reader
+        count less the bytes only the thread reads.  A byte no thread of
+        the CTA touched, in or out of the window, counts for no one.
         """
-        cta_writes = self._cta_write_mask[cta]
-        cta_reads = self._cta_read_mask[cta]
-        thread_counts = self._thread_write_count[cta]
-        own_offsets = self._thread_write_offsets[thread]
+        index = self._cta_index(cta)
+        slot = thread - cta * self.instance.geometry.threads_per_cta
         lo = self._win_lo
-        size = self._win_size
-        for address, nbytes in read_log:
-            start = max(address - lo, 0)
-            end = min(address - lo + nbytes, size)
-            if start < end and cta_writes[start:end].any():
-                return True
-        for address, raw in faulty_log:
-            start = max(address - lo, 0)
-            end = min(address - lo + len(raw), size)
-            if start >= end:
-                continue
-            if cta_reads[start:end].any():
-                return True
-            # One writer per byte (the sliceable gate): the span holds a
-            # sibling's byte iff it holds more written bytes than own ones.
-            own = np.searchsorted(own_offsets, end) - np.searchsorted(own_offsets, start)
-            if np.count_nonzero(thread_counts[start:end]) > own:
-                return True
-        return False
+        addresses, sizes = read_log_arrays(read_log)
+        write_starts, write_lengths = _log_spans(faulty_log, lo)
+        # Read spans, then write spans, as index ranges into ``touched``.
+        starts = np.concatenate((addresses - lo, write_starts))
+        ends = starts + np.concatenate((sizes, write_lengths))
+        first = np.searchsorted(index.touched, starts)
+        last = np.searchsorted(index.touched, ends)
+        # Reads and writes alike must miss every sibling-written byte.
+        writers = index.write_sums[last] - index.write_sums[first]
+        if (writers > _in_spans(index.write_offsets[slot], starts, ends)).any():
+            return True
+        n = len(read_log)
+        readers = index.read_sums[last[n:]] - index.read_sums[first[n:]]
+        own = _in_spans(index.sole_reads[slot], starts[n:], ends[n:])
+        return bool((readers > own).any())
 
     def _slice_patch(self, level: str, owner: int) -> tuple[np.ndarray, np.ndarray]:
         """Image patch reverting one thread's or CTA's golden writes to initial."""
         patch = self._patches.get((level, owner))
         if patch is None:
             if level == "thread":
-                offsets = self._thread_write_offsets[owner]
+                cta, slot = divmod(owner, self.instance.geometry.threads_per_cta)
+                offsets = self._cta_index(cta).write_offsets[slot]
             else:
-                offsets = np.flatnonzero(self._cta_write_mask[owner])
+                offsets = np.flatnonzero(self._cta_index(owner).writes)
             patch = self._patches[level, owner] = self._revert_patch(offsets)
         return patch
 

@@ -269,8 +269,9 @@ class PropagationTracer:
         final instruction is unobservable — and irrelevant: a thread's
         last instruction is an exit, which writes no register).
 
-        Captured once per thread on the private simulator: sliceable
-        CTAs replay just the thread, others replay the owning CTA.
+        Captured once per thread on the private simulator: a thread
+        that passes the thread-slice gate replays alone, others replay
+        the owning CTA.
         """
         cached = self._golden.get(thread)
         if cached is not None:
@@ -286,7 +287,7 @@ class PropagationTracer:
         def sink(dyn: int, pc: int, regs: dict) -> None:
             snaps.append(dict(regs))
 
-        slicing = {"only_thread": thread} if injector._cta_sliceable[cta] else {
+        slicing = {"only_thread": thread} if injector._thread_sliceable(thread) else {
             "only_cta": cta
         }
         result = self._sim.launch(
@@ -413,7 +414,8 @@ class PropagationTracer:
         offsets = np.flatnonzero(faulty != golden)
         escaped_thread = None
         if injector._slicing_enabled and offsets.size:
-            own = injector._thread_write_offsets[thread]
+            slot = thread - cta * injector.instance.geometry.threads_per_cta
+            own = injector._cta_index(cta).write_offsets[slot]
             escaped_thread = bool(np.setdiff1d(offsets, own).size)
         elif injector._slicing_enabled:
             escaped_thread = False

@@ -11,7 +11,7 @@ Two snapshot granularities match the injector's two slicing rungs:
 
 * :class:`ThreadCheckpoint` — one thread's register file, program counter
   and dynamic-instruction cursor, captured every ``interval`` dynamic
-  instructions during a thread-sliced run (sliceable CTAs only).
+  instructions during a thread-sliced run (sliceable threads only).
 * :class:`CTACheckpoint` — every thread of a CTA plus the shared-memory
   scratchpad, captured at barrier-release boundaries during a CTA-sliced
   run (the only points where a run-to-barrier schedule is resumable) on

@@ -24,6 +24,7 @@ def run_cta(
     thread_write_logs: list[list[tuple[int, bytes]]] | None = None,
     barrier_hook=None,
     barrier_rounds_start: int = 0,
+    read_counts: list[list[int]] | None = None,
 ) -> int:
     """Drive every thread of one CTA to completion.
 
@@ -37,6 +38,12 @@ def run_cta(
     swapping the heap's write log around each run-to-barrier segment; the
     CTA-level log keeps its schedule order.
 
+    When ``read_counts`` is given, each round that logged loads appends
+    one row of per-slot load counts, read off the growth of the heap's
+    read log around each thread's segment.  Within a round the log is
+    slot-major, so the rows attribute every load to the thread that
+    issued it.
+
     ``barrier_hook(barrier_rounds, threads)`` fires right after each
     barrier release — the only points where thread states are mutually
     consistent and the schedule is resumable, which is what CTA-level
@@ -48,8 +55,10 @@ def run_cta(
     heap = threads[0].global_mem if threads else None
     while True:
         progressed = False
+        row = [0] * len(threads) if read_counts is not None else None
         for slot, thread in enumerate(threads):
             if thread.state is ThreadState.RUNNING:
+                loaded = len(heap.read_log) if row is not None else 0
                 if thread_write_logs is None or heap.write_log is None:
                     thread.run_until_block()
                 else:
@@ -62,7 +71,11 @@ def run_cta(
                         heap.write_log = cta_log
                         cta_log.extend(segment)
                         thread_write_logs[slot].extend(segment)
+                if row is not None:
+                    row[slot] = len(heap.read_log) - loaded
                 progressed = True
+        if row is not None and any(row):
+            read_counts.append(row)
         waiting = [t for t in threads if t.state is ThreadState.AT_BARRIER]
         if waiting:
             barrier_rounds += 1

@@ -33,7 +33,7 @@ from .injection import InjectionSpec
 from .memory import GlobalMemory, ParamMemory, SharedMemory
 from .program import Program
 from .thread import ThreadContext
-from .tracing import TraceTable, read_log_arrays
+from .tracing import TraceTable, read_log_arrays, slot_load_counts
 from .vector import VectorFallback, _VectorCTARunner
 
 #: Generous per-thread budget for golden runs; catches authoring bugs only.
@@ -136,9 +136,11 @@ class LaunchResult:
     barrier_rounds: int = 0
     #: Per-thread global-write attribution (``record_thread_write_logs``).
     thread_write_logs: list[list[tuple[int, bytes]]] | None = None
-    #: Per-CTA load logs (``record_read_logs``): ``(addresses, sizes)``
-    #: integer arrays in slot-major issue order.
-    cta_read_logs: list[tuple[np.ndarray, np.ndarray]] | None = None
+    #: Per-CTA load logs (``record_read_logs``): ``(addresses, sizes,
+    #: counts)`` integer arrays, slot-major within each run-to-barrier
+    #: segment; ``counts`` holds one row of per-slot load counts per
+    #: segment that loaded (:func:`~repro.gpu.tracing.slot_load_counts`).
+    cta_read_logs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
 
 
 class GPUSimulator:
@@ -382,7 +384,8 @@ class GPUSimulator:
             param_bytes: packed kernel-parameter block.
             memory: heap to run against (defaults to the simulator's own).
             record_read_logs: log every global load's address and size
-                per CTA (golden runs; powers thread-sliced injection).
+                per CTA, attributed to its thread by per-segment slot
+                counts (golden runs; powers thread-sliced injection).
             record_thread_write_logs: attribute global writes to the
                 issuing thread (requires ``record_write_logs``).
             only_cta: execute just this CTA (the injection fast path).
@@ -477,8 +480,10 @@ class GPUSimulator:
             write_logs: list[list[tuple[int, bytes]]] | None = (
                 [[] for _ in range(geometry.n_ctas)] if record_write_logs else None
             )
-            read_logs: list[tuple[np.ndarray, np.ndarray]] | None = (
-                [read_log_arrays([])] * geometry.n_ctas if record_read_logs else None
+            read_logs: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = (
+                [(*read_log_arrays([]), slot_load_counts([], tpc))] * geometry.n_ctas
+                if record_read_logs
+                else None
             )
             thread_write_logs: list[list[tuple[int, bytes]]] | None = (
                 [[] for _ in range(geometry.n_threads)]
@@ -500,6 +505,7 @@ class GPUSimulator:
                         write_logs[cta] if write_logs is not None else caller_write_log
                     )
                     read_target = [] if read_logs is not None else caller_read_log
+                    read_counts = [] if read_logs is not None else None
                     slot_write_logs = (
                         [thread_write_logs[cta * tpc + slot] for slot in slots]
                         if thread_write_logs is not None
@@ -554,6 +560,7 @@ class GPUSimulator:
                             slot_write_logs,
                             barrier_hook=hook,
                             barrier_rounds_start=rounds_start,
+                            read_counts=read_counts,
                         )
                     try:
                         barrier_rounds += execute()
@@ -574,7 +581,10 @@ class GPUSimulator:
                                     zip(reads[0].tolist(), reads[1].tolist())
                                 )
                         elif read_logs is not None:
-                            reads = read_log_arrays(read_target)
+                            reads = (
+                                *read_log_arrays(read_target),
+                                slot_load_counts(read_counts, len(threads)),
+                            )
                         # A resumed slice reports only the instructions it
                         # actually executed, not the skipped golden prefix.
                         instructions += executed - skipped

@@ -23,7 +23,10 @@ from the columns without walking entries in Python:
 * loop detection compares a thread's pc array against loop headers.
 
 Golden read logs use the same idea: each CTA's ``(address, size)`` load
-log becomes a pair of integer arrays (:func:`read_log_arrays`).
+log becomes a pair of integer arrays (:func:`read_log_arrays`).  The log
+is slot-major within each run-to-barrier segment, so one row of per-slot
+load counts per segment (:func:`slot_load_counts`) attributes every load
+to its thread without a per-load column.
 """
 
 from __future__ import annotations
@@ -214,6 +217,12 @@ def read_log_arrays(log: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]
     """One CTA's ``[(address, size), ...]`` load log as two columns."""
     flat = np.fromiter(chain.from_iterable(log), np.int64, count=2 * len(log))
     return flat[0::2].astype(ADDRESS_DTYPE), flat[1::2].astype(SIZE_DTYPE)
+
+
+def slot_load_counts(rows, n_slots: int) -> np.ndarray:
+    """Per-segment rows of per-slot load counts as one ``(segments,
+    n_slots)`` array; segments that logged no load have no row."""
+    return np.array(rows, dtype=np.int32).reshape(-1, n_slots)
 
 
 def static_key_sequence(program: Program, trace: ThreadTrace) -> list[tuple]:

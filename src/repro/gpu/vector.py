@@ -64,6 +64,7 @@ from .tracing import (
     TraceTable,
     pc_dtype,
     read_log_arrays,
+    slot_load_counts,
 )
 
 __all__ = ["VectorFallback", "VectorProgram"]
@@ -862,9 +863,10 @@ class _VectorCTARunner:
         self.parked: dict[int, BaseException] = {}
         self.segment_records: list = []
         #: Global loads of the current segment: ``(lanes, addresses,
-        #: size)`` in step order; flushed slot-major into ``read_parts``.
+        #: size)`` in step order; flushed slot-major into ``read_parts``
+        #: with the segment's per-slot load counts.
         self.segment_reads: list = []
-        self.read_parts: list[tuple[np.ndarray, np.ndarray]] = []
+        self.read_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.flushed: list[tuple[int, bytes]] = []
         #: ``(lanes, pc, width)`` per traced step, in step order.
         self.trace_chunks: list = []
@@ -1362,10 +1364,12 @@ class _VectorCTARunner:
                     tt[slot].extend(wb)
 
     def _flush_reads(self, limit):
-        """The segment's loads as one slot-major ``(addresses, sizes)`` part.
+        """The segment's loads as one slot-major ``(addresses, sizes,
+        counts)`` part.
 
         A stable sort by lane keeps each slot's loads in step order —
-        exactly the order the classic schedule issues them.
+        exactly the order the classic schedule issues them — and the
+        per-lane counts of the sorted lanes attribute them to slots.
         """
         reads = self.segment_reads
         self.segment_reads = []
@@ -1378,18 +1382,25 @@ class _VectorCTARunner:
         if limit is not None:
             order = order[lanes[order] <= limit]
         self.read_parts.append(
-            (addresses[order].astype(ADDRESS_DTYPE), sizes[order])
+            (
+                addresses[order].astype(ADDRESS_DTYPE),
+                sizes[order],
+                np.bincount(lanes[order], minlength=self.nlanes),
+            )
         )
 
-    def read_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Drain the flushed loads into one ``(addresses, sizes)`` pair."""
+    def read_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Drain the flushed loads into one ``(addresses, sizes, counts)``
+        triple (see :func:`~repro.gpu.tracing.slot_load_counts`)."""
         parts = self.read_parts
         self.read_parts = []
+        counts = slot_load_counts([p[2] for p in parts if p[0].size], self.nlanes)
         if not parts:
-            return read_log_arrays([])
+            return (*read_log_arrays([]), counts)
         return (
             np.concatenate([p[0] for p in parts]),
             np.concatenate([p[1] for p in parts]),
+            counts,
         )
 
     def _abort(self):

@@ -46,8 +46,11 @@ def render_text(report: dict) -> str:
     lines: list[str] = []
     kernel = meta["kernel"] or "(unknown kernel)"
     lines.append(f"campaign report — {kernel}")
+    probes = meta.get("n_probes")
     lines.append(
-        f"  injections={meta['n_injections']}  sim_runs={meta['n_sim_runs']}"
+        f"  injections={meta['n_injections']}"
+        + (f"  probes={probes}" if probes else "")
+        + f"  sim_runs={meta['n_sim_runs']}"
         f"  backends={','.join(meta['backends']) or '-'}"
         f"  fast-path={_pct(meta['fast_path_rate'])}"
     )
@@ -258,8 +261,11 @@ def render_markdown(report: dict) -> str:
     meta = report["meta"]
     kernel = meta["kernel"] or "(unknown kernel)"
     out: list[str] = [f"# Campaign report — {kernel}", ""]
+    probes = meta.get("n_probes")
     out.append(
-        f"{meta['n_injections']} injections, {meta['n_sim_runs']} sim runs, "
+        f"{meta['n_injections']} injections, "
+        + (f"{probes} audit probes, " if probes else "")
+        + f"{meta['n_sim_runs']} sim runs, "
         f"backends: {', '.join(meta['backends']) or '-'}, "
         f"fast-path rate {_pct(meta['fast_path_rate'])}."
     )

@@ -178,9 +178,9 @@ def _scoped_gauge(gauges, name: str, worker: str) -> float | None:
     return gauges.get(f"{name}[{worker}]")
 
 
-def _worker_section(log: CampaignLog, counters, gauges, histograms) -> dict | None:
+def _worker_section(injections, counters, gauges, histograms) -> dict | None:
     by_worker: dict[str, list] = {}
-    for event in log.injections:
+    for event in injections:
         by_worker.setdefault(event.worker or "serial", []).append(event)
     busy: dict[str, float] = {}
     for name, value in counters.items():
@@ -227,13 +227,13 @@ def _worker_section(log: CampaignLog, counters, gauges, histograms) -> dict | No
     }
 
 
-def _straggler_section(log: CampaignLog) -> dict | None:
-    if not log.injections:
+def _straggler_section(injections) -> dict | None:
+    if not injections:
         return None
-    ordered = sorted(e.duration_s for e in log.injections)
+    ordered = sorted(e.duration_s for e in injections)
     p99 = _percentile(ordered, 99)
     stragglers = sorted(
-        (e for e in log.injections if e.duration_s > p99),
+        (e for e in injections if e.duration_s > p99),
         key=lambda e: e.duration_s,
         reverse=True,
     )[:MAX_STRAGGLERS]
@@ -285,8 +285,13 @@ def _outcome_section(log: CampaignLog, confidence: float) -> list[dict]:
 def build_report(
     log: CampaignLog, confidence: float = 0.95, propagation: bool = False
 ) -> dict:
-    """Assemble the full campaign report dict from a loaded log."""
-    injections = log.injections
+    """Assemble the full campaign report dict from a loaded log.
+
+    Coherence-audit probes (events with a ``group``) are counted apart
+    in ``meta``; every campaign section reads the campaign's own
+    injections, and only the propagation section reads the probes.
+    """
+    injections = [e for e in log.injections if e.group is None]
     metrics = log.merged_metrics()
     counters = metrics["counters"]
     gauges = metrics["gauges"]
@@ -294,7 +299,7 @@ def build_report(
 
     n = len(injections)
     fast = sum(1 for e in injections if e.fast_path)
-    if not injections:  # a manifest-only report: the recorded totals
+    if not log.injections:  # a manifest-only report: the recorded totals
         n = int(counters.get("injections.total", 0))
         fast = counters.get("injections.fast_path", 0)
     timestamps = [e.ts for e in log.events]
@@ -304,6 +309,7 @@ def build_report(
             "kernel": log.kernel,
             "sources": list(log.sources),
             "n_injections": n,
+            "n_probes": len(log.injections) - len(injections),
             "n_sim_runs": len(log.sim_runs),
             "backends": backends,
             "fast_path_rate": fast / n if n else 0.0,
@@ -324,8 +330,8 @@ def build_report(
         "tertiles": _tertile_section(injections),
         "checkpoint": _checkpoint_section(log, counters, gauges),
         "compiled": _compiled_section(counters),
-        "workers": _worker_section(log, counters, gauges, histograms),
-        "stragglers": _straggler_section(log),
+        "workers": _worker_section(injections, counters, gauges, histograms),
+        "stragglers": _straggler_section(injections),
         "funnel": [
             {
                 "stage": s.stage,

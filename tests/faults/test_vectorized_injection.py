@@ -158,19 +158,30 @@ def test_compiled_and_vectorized_launches_match(key):
 
 
 def test_vectorized_two_workers_matches_serial_interpreter():
-    serial = random_campaign(
-        FaultInjector(load_instance("2dconv.k1"), backend="interpreter"),
-        N_SITES,
-        rng=SEED,
-    )
-    pooled = random_campaign(
-        FaultInjector(load_instance("2dconv.k1"), backend="vectorized"),
-        N_SITES,
-        rng=SEED,
-        executor=ParallelCampaignRunner(2, chunk_size=8, start_method=START_METHOD),
-    )
-    assert pooled.outcomes == serial.outcomes
-    assert pooled.profile.weights == serial.profile.weights
+    """Pooled vectorized campaigns equal the serial interpreter, and the
+    workers' injectors thread-slice from the golden state they were
+    handed: every injection tries the thread slice first — on gemm.k1
+    too, whose threads read their own output."""
+    for key in ("2dconv.k1", "gemm.k1"):
+        serial = random_campaign(
+            FaultInjector(load_instance(key), backend="interpreter"),
+            N_SITES,
+            rng=SEED,
+        )
+        telemetry = Telemetry()
+        pooled = random_campaign(
+            FaultInjector(load_instance(key), backend="vectorized", telemetry=telemetry),
+            N_SITES,
+            rng=SEED,
+            executor=ParallelCampaignRunner(2, chunk_size=8, start_method=START_METHOD),
+        )
+        assert pooled.outcomes == serial.outcomes, key
+        assert pooled.profile.weights == serial.profile.weights
+        metrics = telemetry.metrics
+        sliced = metrics.counter_value("injections.thread_sliced")
+        demoted = metrics.counter_value("injections.thread_sliced_fallback")
+        assert sliced > 0, key
+        assert sliced + demoted == N_SITES, key
 
 
 def test_golden_state_handoff_skips_golden_run():

@@ -286,7 +286,8 @@ def _issued_ops(instance: KernelInstance) -> set[str]:
 
 
 def _read_log_lists(result):
-    return [(a.tolist(), s.tolist()) for a, s in result.cta_read_logs]
+    """Load logs with their per-segment slot counts (thread attribution)."""
+    return [(a.tolist(), s.tolist(), c.tolist()) for a, s, c in result.cta_read_logs]
 
 
 # Untraced launches are where the compiled backend runs fused blocks

@@ -73,7 +73,7 @@ def _launch(case: str, backend: str):
         observed = (
             result.traces,
             result.cta_write_logs,
-            [(a.tolist(), s.tolist()) for a, s in result.cta_read_logs],
+            [(a.tolist(), s.tolist(), c.tolist()) for a, s, c in result.cta_read_logs],
             result.instructions,
         )
     except MemoryFault as exc:

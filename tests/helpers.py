@@ -146,3 +146,51 @@ def build_shared_flag_instance(grid: int = 2, block: int = 2) -> KernelInstance:
             "y": np.arange(n, dtype=np.uint32),
         },
     )
+
+
+def build_neighbour_read_instance(block: int = 4) -> KernelInstance:
+    """``y[i] += x[i]`` in one CTA, except thread 0 reads ``y[1]``.
+
+    Thread 0 reads a byte its sibling (thread 1) writes; every other
+    thread reads only the element it writes, as GEMM's ``C = aAB + bC``
+    does.
+    """
+    k = KernelBuilder("neighbour_read")
+    x_ptr, y_ptr = k.params("x", "y")
+    r = k.regs("i", "j", "t", "addr", "xv", "yv")
+    k.cvt("u32", r.i, k.tid.x)
+    k.mov("u32", r.j, r.i)
+    with k.if_block("eq", "u32", r.i, 0):
+        k.mov("u32", r.j, 1)
+    k.shl("u32", r.addr, r.i, 2)
+    k.ld("u32", r.t, x_ptr)
+    k.add("u32", r.addr, r.addr, r.t)
+    k.ld("u32", r.xv, k.global_ref(r.addr))
+    k.shl("u32", r.addr, r.j, 2)
+    k.ld("u32", r.t, y_ptr)
+    k.add("u32", r.addr, r.addr, r.t)
+    k.ld("u32", r.yv, k.global_ref(r.addr))
+    k.add("u32", r.yv, r.yv, r.xv)
+    k.shl("u32", r.addr, r.i, 2)
+    k.add("u32", r.addr, r.addr, r.t)
+    k.st("u32", k.global_ref(r.addr), r.yv)
+    k.retp()
+    program = k.build()
+
+    x = np.arange(10, 10 + block, dtype=np.uint32)
+    y = np.arange(100, 100 + 16 * block, 16, dtype=np.uint32)
+    sim = GPUSimulator()
+    x_addr = sim.alloc_array(x)
+    y_addr = sim.alloc_array(y)
+    params = pack_params(k.param_layout, {"x": x_addr, "y": y_addr})
+    expected = y + x
+    expected[0] = y[1] + x[0]
+    return KernelInstance(
+        spec=None,
+        program=program,
+        geometry=LaunchGeometry(grid=(1, 1), block=(block, 1)),
+        param_bytes=params,
+        initial_memory=sim.memory,
+        outputs=(OutputBuffer("y", y_addr, np.dtype(np.uint32), block),),
+        reference={"y": expected},
+    )

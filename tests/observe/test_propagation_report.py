@@ -85,6 +85,17 @@ class TestSection:
         site = group["disagreements"][0]
         assert len(site["signatures"]) == 2
 
+    def test_campaign_sections_count_no_audit_probes(self, report):
+        """The 12 audit probes feed only the propagation section; the
+        header and the campaign sections count the 18 injections the
+        outcome table counts."""
+        meta = report["meta"]
+        assert (meta["n_injections"], meta["n_probes"]) == (18, 12)
+        assert sum(row["count"] for row in report["outcomes"]) == 18
+        assert report["latency"]["count"] == 18
+        assert sum(row["count"] for row in report["tertiles"]["rows"]) == 18
+        assert report["propagation"]["n_traced"] == 30
+
     def test_section_is_none_without_traces(self):
         from repro.observe.loader import CampaignLog
         from repro.telemetry import InjectionEvent
