@@ -87,8 +87,7 @@ def run_comparison() -> str:
         lines.append(
             f"{key}: interval {INTERVAL}, "
             f"{sum(len(b) for b in buckets.values())} sites, "
-            f"store {counters['entries']} snapshots / {counters['nbytes']:,} B "
-            f"({counters['hits']} hits)"
+            f"store {counters['entries']} snapshots / {counters['nbytes']:,} B"
         )
         for name in TERTILES:
             speedup = base_ms[name] / ck_ms[name] if ck_ms[name] else float("inf")

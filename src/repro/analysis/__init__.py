@@ -27,7 +27,6 @@ from .tables import (
     format_table1,
     format_table7,
     group_table,
-    loop_stats_for,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "format_table7",
     "group_table",
     "instruction_vulnerabilities",
-    "loop_stats_for",
     "render_report",
     "thread_masked_pct",
     "thread_outcome_series",

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..faults.injector import FaultInjector
 from ..kernels.registry import KernelSpec
-from ..pruning.loopwise import loop_statistics
 from ..pruning.threadwise import ThreadwisePruning
 
 
@@ -101,7 +99,3 @@ def format_table7(rows: list[tuple[KernelSpec, int, int, float]]) -> str:
             f"{share:14.2f}%"
         )
     return "\n".join(lines)
-
-
-def loop_stats_for(injector: FaultInjector) -> tuple[int, float]:
-    return loop_statistics(injector.instance.program, injector.traces)

@@ -95,7 +95,7 @@ def run_campaign(
         live: a :class:`~repro.observe.live.LiveAggregator`, attached to
             the injector's telemetry for the campaign's duration so it
             folds the ``start`` record and every ``InjectionEvent``
-            (serial and pooled executors alike).  Needs enabled
+            (serial and process-pool executors alike).  Needs enabled
             telemetry (``ValueError`` otherwise).
             Advisory: outcomes and the profile are identical with or
             without it.

@@ -21,7 +21,7 @@ from .isa import DataType, Imm, MemRef, Param, Reg, Special
 from .memory import GLOBAL_BASE, GlobalMemory, ParamMemory, SharedMemory
 from .packing import pack_params
 from .program import Program
-from .registers import RegisterFile, flip_bit
+from .registers import flip_bit
 from .simulator import (
     BACKENDS,
     DEFAULT_MAX_STEPS,
@@ -59,7 +59,6 @@ __all__ = [
     "ParamMemory",
     "Program",
     "Reg",
-    "RegisterFile",
     "SharedMemory",
     "Special",
     "ThreadCheckpoint",

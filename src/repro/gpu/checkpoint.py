@@ -117,7 +117,7 @@ class ThreadCheckpoint:
         )
 
     def restore(self, ctx: "ThreadContext") -> None:
-        ctx.regs.values = dict(self.regs)
+        ctx.regs = dict(self.regs)
         ctx.pc = self.pc
         ctx.dyn_count = self.dyn_index
 
@@ -154,7 +154,7 @@ class CTACheckpoint:
     ) -> "CTACheckpoint":
         from .thread import ThreadState
 
-        regs = tuple(dict(t.regs.values) for t in threads)
+        regs = tuple(dict(t.regs) for t in threads)
         shared_data = shared.snapshot_bytes() if shared is not None else None
         nbytes = sum(_regs_nbytes(len(r)) for r in regs)
         nbytes += len(shared_data) if shared_data is not None else 0
@@ -177,7 +177,7 @@ class CTACheckpoint:
         from .thread import ThreadState
 
         for slot, ctx in enumerate(threads):
-            ctx.regs.values = dict(self.thread_regs[slot])
+            ctx.regs = dict(self.thread_regs[slot])
             ctx.pc = self.thread_pcs[slot]
             ctx.dyn_count = self.thread_dyn[slot]
             ctx.state = (
@@ -228,8 +228,6 @@ class CheckpointStore:
         )
         self._intervals: dict[tuple, list[int]] = {}
         self.nbytes = 0
-        self.hits = 0
-        self.misses = 0
         self.stored = 0
         self.evicted = 0
         self.rejected = 0  # single snapshots larger than the whole budget
@@ -291,10 +289,6 @@ class CheckpointStore:
                 key = (owner, intervals[lo - 1])
                 best = entries[key]
                 entries.move_to_end(key)  # LRU recency
-        if best is None:
-            self.misses += 1
-        else:
-            self.hits += 1
         return best
 
     def best_thread(self, thread: int, dyn_index: int) -> ThreadCheckpoint | None:
@@ -309,8 +303,6 @@ class CheckpointStore:
 
     def counters(self) -> dict[str, int | float]:
         return {
-            "hits": self.hits,
-            "misses": self.misses,
             "stored": self.stored,
             "evicted": self.evicted,
             "rejected": self.rejected,

@@ -209,15 +209,17 @@ class GlobalMemory:
 
 
 class SharedMemory:
-    """Per-CTA scratchpad; out-of-range accesses crash like global ones."""
+    """Per-CTA scratchpad; out-of-range accesses crash like global ones.
+
+    A launch allocates a zeroed one for every CTA it runs.
+    """
 
     def __init__(self, nbytes: int) -> None:
         self._data = bytearray(nbytes)
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        for key in ("_array_view", "_vector_paint"):
-            state.pop(key, None)
+        state.pop("_array_view", None)
         return state
 
     def snapshot_bytes(self) -> bytes:
@@ -229,10 +231,6 @@ class SharedMemory:
         if len(raw) != len(self._data):
             raise MemoryFault("shared", 0, len(raw))
         self._data[:] = raw
-
-    def clear(self) -> None:
-        """Zero the scratchpad in place (context-pool reuse between launches)."""
-        self._data[:] = bytes(len(self._data))
 
     def array_view(self):
         """A zero-copy writable ``uint8`` numpy view over the scratchpad."""

@@ -1,10 +1,13 @@
-"""Per-thread register state and the fault model's bit-flip primitive.
+"""Register value encoding and the fault model's bit-flip primitive.
 
-Registers are dynamically created on first write (PTXPlus programs declare
-register usage implicitly).  Integer registers hold Python ints already
-masked to the operation width at write time; float registers hold Python
-floats; predicate registers hold a 4-bit condition code packed into an int
-(bit 0 = zero flag, 1 = sign, 2 = carry, 3 = overflow).
+A thread's registers are the plain dict ``ThreadContext.regs``, keyed by
+register name and created on first write (PTXPlus programs declare
+register usage implicitly); unwritten registers read as zero
+(``regs.get(name, 0)``), like a freshly allocated hardware register file.
+Integer registers hold Python ints already masked to the operation width
+at write time; float registers hold Python floats; predicate registers
+hold a 4-bit condition code packed into an int (bit 0 = zero flag,
+1 = sign, 2 = carry, 3 = overflow).
 
 :func:`flip_bit` implements the paper's single-bit-flip fault model on a
 destination register *after* the instruction writes it.
@@ -17,28 +20,6 @@ import struct
 
 from ..errors import FaultInjectionError
 from .isa import DataType
-
-
-class RegisterFile:
-    """The general + predicate register state of one thread."""
-
-    __slots__ = ("values",)
-
-    def __init__(self) -> None:
-        self.values: dict[str, int | float] = {}
-
-    def read(self, name: str) -> int | float:
-        # Unwritten registers read as zero, like a freshly allocated
-        # hardware register file in the functional simulator.
-        return self.values.get(name, 0)
-
-    def write(self, name: str, value: int | float) -> None:
-        self.values[name] = value
-
-    def copy(self) -> "RegisterFile":
-        clone = RegisterFile()
-        clone.values = dict(self.values)
-        return clone
 
 
 def _float_bits(value: float, dtype: DataType) -> int:

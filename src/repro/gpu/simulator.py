@@ -55,10 +55,6 @@ BACKENDS = ("interpreter", "compiled", "vectorized")
 #: selection").
 VECTORIZED_MIN_LANES = 128
 
-#: Cache-size bound for pooled contexts / specials dicts / scratchpads;
-#: cleared wholesale on overflow (campaigns touch far fewer keys).
-_POOL_LIMIT = 4096
-
 Dim2 = tuple[int, int]
 
 
@@ -102,6 +98,21 @@ class LaunchGeometry:
             ("nctaid", "z"): 1,
         }
 
+    def lane_specials(self, cta: int) -> dict[tuple[str, str], np.ndarray]:
+        """:meth:`specials_for` of every slot of ``cta`` at once, one
+        ``uint64`` lane array per special register: only ``%tid`` varies
+        across a CTA's slots."""
+        tpc = self.threads_per_cta
+        lanes = {
+            key: np.full(tpc, value, np.uint64)
+            for key, value in self.specials_for(cta, 0).items()
+        }
+        slots = np.arange(tpc, dtype=np.uint64)
+        bx = np.uint64(self.block[0])
+        lanes[("tid", "x")] = slots % bx
+        lanes[("tid", "y")] = slots // bx
+        return lanes
+
 
 def resolve_backend(backend: str, geometry: LaunchGeometry) -> str:
     """Collapse ``"auto"`` to a concrete backend name for ``geometry``.
@@ -144,7 +155,13 @@ class LaunchResult:
 
 
 class GPUSimulator:
-    """Device state plus the launch entry point."""
+    """Device state plus the launch entry point.
+
+    Between launches the simulator holds only its heap: every launch
+    builds its thread contexts, scratchpads and lockstep runners and drops
+    them when it returns; compiled code stays cached on the
+    :class:`~repro.gpu.program.Program`.
+    """
 
     def __init__(
         self,
@@ -159,118 +176,6 @@ class GPUSimulator:
         self.memory = GlobalMemory(heap_bytes)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.backend = backend
-        # Per-(program, params, geometry, cta, slot) reuse caches for the
-        # sliced fast paths: read-only specials dicts, pooled
-        # ThreadContexts, vector CTA runners and shared scratchpads.
-        # Values pin the program object so an id() collision can never
-        # alias.
-        self._specials_cache: dict = {}
-        self._context_pool: dict = {}
-        self._shared_pool: dict = {}
-        self._vector_pool: dict = {}
-
-    # ------------------------------------------------------------- pooling
-
-    def _cached_specials(self, geometry, cta: int, slot: int):
-        key = (geometry, cta, slot)
-        specials = self._specials_cache.get(key)
-        if specials is None:
-            if len(self._specials_cache) >= _POOL_LIMIT:
-                self._specials_cache.clear()
-            specials = geometry.specials_for(cta, slot)
-            self._specials_cache[key] = specials
-        return specials
-
-    def _pooled_shared(self, program, cta: int):
-        key = (id(program), cta)
-        entry = self._shared_pool.get(key)
-        if entry is not None and entry[0] is program:
-            shared = entry[1]
-            shared.clear()
-            return shared
-        shared = SharedMemory(program.shared_bytes)
-        if len(self._shared_pool) >= _POOL_LIMIT:
-            self._shared_pool.clear()
-        self._shared_pool[key] = (program, shared)
-        return shared
-
-    def _contexts(
-        self,
-        program: Program,
-        geometry: LaunchGeometry,
-        param_mem: ParamMemory,
-        heap: GlobalMemory,
-        shared: SharedMemory | None,
-        cta: int,
-        slots,
-        armed_slot: int | None,
-        spec: InjectionSpec | None,
-        *,
-        pooled: bool,
-        max_steps: int,
-        record_trace: bool,
-        compiled,
-    ) -> list[ThreadContext]:
-        """Thread contexts for ``slots`` of ``cta``, ``spec`` armed on
-        ``armed_slot``: re-armed from the pool on sliced runs, built fresh
-        on full-grid ones."""
-        contexts = []
-        for slot in slots:
-            injection = spec if slot == armed_slot else None
-            if pooled:
-                key = (id(program), param_mem.raw, geometry, cta, slot)
-                specials = self._cached_specials(geometry, cta, slot)
-                entry = self._context_pool.get(key)
-                if entry is not None and entry[0] is program:
-                    ctx = entry[1]
-                    ctx.reset(
-                        specials, heap, shared, param_mem,
-                        max_steps=max_steps, record_trace=record_trace,
-                        injection=injection, compiled=compiled,
-                    )
-                    contexts.append(ctx)
-                    continue
-            else:
-                specials = geometry.specials_for(cta, slot)
-            ctx = ThreadContext(
-                program, specials, heap, shared, param_mem,
-                max_steps=max_steps, record_trace=record_trace,
-                injection=injection, compiled=compiled,
-            )
-            if pooled:
-                if len(self._context_pool) >= _POOL_LIMIT:
-                    self._context_pool.clear()
-                self._context_pool[key] = (program, ctx)
-            contexts.append(ctx)
-        return contexts
-
-    def _vector_runner(
-        self,
-        program: Program,
-        geometry: LaunchGeometry,
-        param_mem: ParamMemory,
-        cta: int,
-        pooled: bool,
-    ) -> _VectorCTARunner:
-        """The lockstep runner of ``cta``: pooled on sliced runs."""
-        if pooled:
-            key = (id(program), param_mem.raw, geometry, cta)
-            entry = self._vector_pool.get(key)
-            if entry is not None and entry[0] is program:
-                return entry[1]
-        tpc = geometry.threads_per_cta
-        specials = [
-            self._cached_specials(geometry, cta, slot)
-            if pooled
-            else geometry.specials_for(cta, slot)
-            for slot in range(tpc)
-        ]
-        runner = _VectorCTARunner(program.vectorized(param_mem), tpc, specials)
-        if pooled:
-            if len(self._vector_pool) >= _POOL_LIMIT:
-                self._vector_pool.clear()
-            self._vector_pool[key] = (program, runner)
-        return runner
 
     def _wire_checkpoint(
         self,
@@ -292,7 +197,7 @@ class GPUSimulator:
                         "thread-sliced runs resume from ThreadCheckpoint"
                     )
                 restore_t0 = time.perf_counter()
-                threads[0].resume_from(resume)
+                resume.restore(threads[0])
                 self._note_restore(time.perf_counter() - restore_t0)
                 skipped = resume.dyn_index
             if checkpoint.sink is not None and checkpoint.interval > 0:
@@ -373,7 +278,7 @@ class GPUSimulator:
         Every backend runs this one loop; CTAs differ only in how they
         execute.  A classic CTA (interpreter, compiled) runs its thread
         contexts through :func:`~repro.gpu.cta.run_cta`.  A vectorized CTA
-        runs a pooled lockstep runner (:mod:`~repro.gpu.vector`) with the
+        runs a lockstep runner (:mod:`~repro.gpu.vector`) with the
         injected thread demoted to a compiled context; when lockstep
         execution cannot prove classic-identical results the runner raises
         :class:`~repro.gpu.vector.VectorFallback`, and the launch rolls the
@@ -458,10 +363,6 @@ class GPUSimulator:
         compiled = (
             program.compiled(param_mem) if self.backend != "interpreter" else None
         )
-        # Sliced runs (the per-injection hot path) reuse pooled contexts,
-        # runners, shared scratchpads and specials dicts; full-grid runs
-        # (golden capture) build them fresh.
-        pooled = only_cta is not None or only_thread is not None
         caller_write_log = heap.write_log
         caller_read_log = heap.read_log
         if vector:
@@ -495,12 +396,11 @@ class GPUSimulator:
             hang = memory_fault = fell_back = False
             try:
                 for cta in ctas:
-                    if not program.shared_bytes:
-                        shared = None
-                    elif pooled:
-                        shared = self._pooled_shared(program, cta)
-                    else:
-                        shared = SharedMemory(program.shared_bytes)
+                    shared = (
+                        SharedMemory(program.shared_bytes)
+                        if program.shared_bytes
+                        else None
+                    )
                     write_target = (
                         write_logs[cta] if write_logs is not None else caller_write_log
                     )
@@ -518,21 +418,24 @@ class GPUSimulator:
                         context_slots = () if slot is None else (slot,)
                     else:
                         context_slots = slots
-                    threads = self._contexts(
-                        program, geometry, param_mem, heap, shared, cta,
-                        context_slots, slot, spec,
-                        pooled=pooled, max_steps=max_steps,
-                        record_trace=record_traces, compiled=compiled,
-                    )
+                    threads = [
+                        ThreadContext(
+                            program, geometry.specials_for(cta, s), heap, shared,
+                            param_mem, max_steps=max_steps,
+                            record_trace=record_traces,
+                            injection=spec if s == slot else None,
+                            compiled=compiled,
+                        )
+                        for s in context_slots
+                    ]
                     injected = (
                         threads[context_slots.index(slot)] if slot is not None else None
                     )
                     skipped = 0
                     if vector:
-                        runner = self._vector_runner(
-                            program, geometry, param_mem, cta, pooled
-                        )
-                        runner.prepare(
+                        runner = _VectorCTARunner(
+                            program.vectorized(param_mem),
+                            geometry.lane_specials(cta),
                             heap, shared, max_steps, record_traces,
                             write_target, read_target is not None, slot_write_logs,
                         )

@@ -29,7 +29,7 @@ from .alu import condition_code, to_int, _exec_set_general
 from .isa import DataType, Imm, MemRef, Param, Reg, Special
 from .memory import GlobalMemory, ParamMemory, SharedMemory
 from .program import Program
-from .registers import RegisterFile, flip_bit
+from .registers import flip_bit
 from .tracing import TraceEntry
 
 
@@ -45,7 +45,12 @@ _EXITS = frozenset(("exit", "retp"))
 
 
 class ThreadContext:
-    """Architectural state and interpreter loop for a single thread."""
+    """Architectural state and interpreter loop for a single thread.
+
+    A launch builds one context per thread it runs and drops them when it
+    returns.  ``regs`` is the thread's register dict; a checkpoint restore
+    replaces it with a copy of the captured one.
+    """
 
     __slots__ = (
         "program",
@@ -80,7 +85,7 @@ class ThreadContext:
         compiled=None,
     ) -> None:
         self.program = program
-        self.regs = RegisterFile()
+        self.regs: dict[str, int | float] = {}
         self.pc = 0
         self.state = ThreadState.RUNNING
         self.dyn_count = 0
@@ -97,51 +102,7 @@ class ThreadContext:
         self.cp_sink = None
         self.compiled = compiled
 
-    def reset(
-        self,
-        specials: dict[tuple[str, str], int],
-        global_mem: GlobalMemory,
-        shared_mem: SharedMemory | None,
-        param_mem: ParamMemory,
-        max_steps: int,
-        record_trace: bool = False,
-        injection: InjectionSpec | None = None,
-        compiled=None,
-    ) -> None:
-        """Re-arm a pooled context for a fresh launch of the same program.
-
-        Clears the register dict in place (the expensive part of context
-        construction) and reassigns every per-launch field; equivalent to
-        building a new :class:`ThreadContext` from scratch.
-        """
-        self.regs.values.clear()
-        self.pc = 0
-        self.state = ThreadState.RUNNING
-        self.dyn_count = 0
-        self.max_steps = max_steps
-        self.trace = [] if record_trace else None
-        self.injection = injection
-        self.specials = specials
-        self.global_mem = global_mem
-        self.shared_mem = shared_mem
-        self.param_mem = param_mem
-        self.cp_every = 0
-        self.cp_limit = -1
-        self.cp_next = -1
-        self.cp_sink = None
-        self.compiled = compiled
-
     # ----------------------------------------------------------- checkpoint
-
-    def resume_from(self, checkpoint) -> None:
-        """Restore golden architectural state captured along this thread.
-
-        ``run_until_block`` then continues at dynamic index
-        ``checkpoint.dyn_index`` exactly as if the prefix had executed;
-        the caller is responsible for the heap (the thread's golden write
-        prefix must already be applied).
-        """
-        checkpoint.restore(self)
 
     def plan_checkpoints(self, every: int, limit: int, sink) -> None:
         """Capture ``sink(dyn, pc, regs)`` every ``every`` dynamic
@@ -194,7 +155,7 @@ class ThreadContext:
         else:
             sizes = prog.step_only
             steps = prog.traced_steps
-        regs = self.regs.values
+        regs = self.regs
         max_steps = self.max_steps
         injection = self.injection
         arm_at = -1 if injection is None else injection.dyn_index
@@ -263,7 +224,7 @@ class ThreadContext:
         driver's armed instruction)."""
         decoded = self.program.decoded()
         end = len(decoded)
-        regs = self.regs.values
+        regs = self.regs
         specials = self.specials
         param_mem = self.param_mem
         trace = self.trace

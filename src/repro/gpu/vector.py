@@ -829,7 +829,8 @@ _TWO53U = np.uint64(1 << 53)
 
 
 class _VectorCTARunner:
-    """Lockstep executor for one CTA over a 4-plane lane register file.
+    """Lockstep executor for one launch of one CTA over a 4-plane lane
+    register file.
 
     Register value domain: each (column, lane) cell is either a float
     (``isf`` set, value in ``fval``) or a canonical int (``ibits`` holds
@@ -838,9 +839,18 @@ class _VectorCTARunner:
     the all-zero planes equal to the dict's ``get(name, 0)`` default.
     """
 
-    def __init__(self, vprog, nlanes: int, specials_list) -> None:
+    def __init__(
+        self, vprog, special_u64, heap, shared, max_steps, tracing,
+        write_target, record_reads, thread_targets,
+    ) -> None:
+        """Zeroed lane state for one launch of one CTA over ``heap`` and
+        ``shared``, logging writes to ``write_target`` (and per slot to
+        ``thread_targets``).  ``special_u64`` holds one ``uint64`` lane
+        array per special register, one lane per slot
+        (``LaunchGeometry.lane_specials``)."""
         self.vprog = vprog
-        self.nlanes = nlanes
+        self.special_u64 = special_u64
+        self.nlanes = nlanes = len(special_u64[("tid", "x")])
         #: Narrowest lane dtype: stable argsorts on 8/16-bit keys are
         #: radix sorts.
         self.lane_key = np.min_scalar_type(nlanes - 1)
@@ -852,13 +862,6 @@ class _VectorCTARunner:
         self.pcs = np.zeros(nlanes, np.int64)
         self.dyn = np.zeros(nlanes, np.int64)
         self.status = np.zeros(nlanes, np.int8)
-        self.special_u64 = {
-            key: np.array(
-                [specials_list[lane][key] for lane in range(nlanes)],
-                dtype=np.uint64,
-            )
-            for key in specials_list[0]
-        }
         self.paint = nlanes > 1
         self.parked: dict[int, BaseException] = {}
         self.segment_records: list = []
@@ -876,6 +879,27 @@ class _VectorCTARunner:
         #: lets operand reads skip the isf-plane gather for int columns.
         self.colf = np.zeros(ncols, bool)
         self.status_dirty = False
+        self.heap = heap
+        self.shared = shared
+        self.max_steps = max_steps
+        self.tracing = tracing
+        self.write_target = write_target
+        self.thread_targets = thread_targets
+        self.record_reads = record_reads
+        self.heap_view = heap.array_view()
+        self.heap_bounds = heap.allocation_arrays()
+        # The heap's paint board stays cached on the heap: at 24 bytes per
+        # heap byte, building one costs more than running a CTA.  Each
+        # launch allocates a fresh scratchpad, so its board is fresh too.
+        self.heap_board = _board_for(heap, len(heap._data)) if self.paint else None
+        if shared is not None:
+            self.shared_view = shared.array_view()
+            self.shared_len = len(shared._data)
+            self.shared_board = _PaintBoard(self.shared_len) if self.paint else None
+        else:
+            self.shared_view = None
+            self.shared_len = 0
+            self.shared_board = None
 
     # ----------------------------------------------------------- operands
 
@@ -1131,49 +1155,6 @@ class _VectorCTARunner:
             self._paint_read(board, np.array([lane]), pos)
 
     # ------------------------------------------------------------- launch
-
-    def prepare(
-        self, heap, shared, max_steps, tracing,
-        write_target, record_reads, thread_targets,
-    ):
-        """Rebind one launch's memories/logs and zero all lane state."""
-        self.heap = heap
-        self.shared = shared
-        self.max_steps = max_steps
-        self.tracing = tracing
-        self.write_target = write_target
-        self.thread_targets = thread_targets
-        self.record_reads = record_reads
-        self.heap_view = heap.array_view()
-        self.heap_bounds = heap.allocation_arrays()
-        self.heap_board = _board_for(heap, len(heap._data)) if self.paint else None
-        if shared is not None:
-            self.shared_view = shared.array_view()
-            self.shared_len = len(shared._data)
-            self.shared_board = (
-                _board_for(shared, self.shared_len) if self.paint else None
-            )
-        else:
-            self.shared_view = None
-            self.shared_len = 0
-            self.shared_board = None
-        self.ibits[:] = 0
-        self.neg[:] = False
-        self.isf[:] = False
-        self.fval[:] = 0.0
-        self.pcs[:] = 0
-        self.dyn[:] = 0
-        self.status[:] = _RUNNING
-        self.colf[:] = False
-        self.status_dirty = False
-        self.parked.clear()
-        self.segment_records = []
-        self.segment_reads = []
-        self.read_parts = []
-        self.flushed = []
-        self.trace_chunks = []
-        self.scalar_slot = -1
-        self.scalar_ctx = None
 
     def attach_scalar(self, slot, ctx):
         """Demote ``slot`` to a real ThreadContext for the whole launch.

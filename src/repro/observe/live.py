@@ -12,8 +12,8 @@ not.  This module is the live side:
   effective-instruction throughput, a work-projected ETA, per-worker
   liveness and stall detection, and depth-tertile latency.  It attaches
   to the campaign's :class:`~repro.telemetry.Telemetry` as a listener,
-  so it sees serial events as the injector emits them and pooled events
-  as the parent absorbs each chunk's snapshot — workers and executors
+  so it sees serial events as the injector emits them and pool workers'
+  events as the parent absorbs each chunk's snapshot — workers and executors
   never know it exists;
 * :func:`render_live` turns one :meth:`LiveAggregator.snapshot` into the
   in-terminal dashboard both ``repro watch`` and the ``--live-port``

@@ -299,26 +299,31 @@ def build_report(
 
     n = len(injections)
     fast = sum(1 for e in injections if e.fast_path)
+    sim_runs = len(log.sim_runs)
+    backends = sorted({e.backend for e in injections})
+    # Effective dynamic coverage: executed + checkpoint-skipped
+    # instructions the campaign accounted for.
+    effective = sum(e.effective_instructions for e in injections)
     if not log.injections:  # a manifest-only report: the recorded totals
         n = int(counters.get("injections.total", 0))
         fast = counters.get("injections.fast_path", 0)
+        sim_runs = int(counters.get("sim.launches", 0))
+        backends = sorted(
+            {m.config["backend"] for m in log.manifests if m.config.get("backend")}
+        )
+        effective = int(counters.get("work.effective_instructions", 0))
     timestamps = [e.ts for e in log.events]
-    backends = sorted({e.backend for e in injections})
     return {
         "meta": {
             "kernel": log.kernel,
             "sources": list(log.sources),
             "n_injections": n,
             "n_probes": len(log.injections) - len(injections),
-            "n_sim_runs": len(log.sim_runs),
+            "n_sim_runs": sim_runs,
             "backends": backends,
             "fast_path_rate": fast / n if n else 0.0,
             "suffix_instructions": sum(e.suffix_instructions for e in injections),
-            # Effective dynamic coverage: executed + checkpoint-skipped
-            # instructions the campaign accounted for.
-            "effective_instructions": sum(
-                e.effective_instructions for e in injections
-            ),
+            "effective_instructions": effective,
             "wall_span_s": (max(timestamps) - min(timestamps)) if timestamps else 0.0,
             "confidence": confidence,
         },

@@ -10,7 +10,7 @@ distribution by less than ``epsilon`` percentage points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..faults.injector import FaultInjector
 from ..faults.outcome import ResilienceProfile
@@ -61,17 +61,7 @@ def stable_loop_iterations(
     stable_streak = 0
 
     for num_iter in range(start, max_iter + 1):
-        step_pruner = ProgressivePruner(
-            num_loop_iters=num_iter,
-            n_bits=base.n_bits,
-            cta_method=base.cta_method,
-            min_common_fraction=base.min_common_fraction,
-            enable_instructionwise=base.enable_instructionwise,
-            enable_loopwise=True,
-            enable_bitwise=base.enable_bitwise,
-            pred_flags_masked=base.pred_flags_masked,
-            seed=base.seed,
-        )
+        step_pruner = replace(base, num_loop_iters=num_iter, enable_loopwise=True)
         space = step_pruner.prune(injector)
         profile = space.estimate_profile(injector)
         sweep.spaces[num_iter] = space

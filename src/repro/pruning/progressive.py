@@ -96,9 +96,6 @@ class ProgressivePruner:
         num_loop_iters: loop iterations sampled per loop (paper: 3-15,
             average 7.22; choose via the Fig. 6 stability sweep).
         n_bits: bit positions sampled per 32-bit destination (paper: 16).
-        cta_method: CTA grouping key ("mean" per the paper, or
-            "signature" for the stricter ablation variant).
-        min_common_fraction: instruction-wise applicability threshold.
         enable_instructionwise / enable_loopwise / enable_bitwise: stage
             toggles, used by the ablation benches.
         seed: RNG seed for loop-iteration sampling.
@@ -106,12 +103,9 @@ class ProgressivePruner:
 
     num_loop_iters: int = 5
     n_bits: int = 16
-    cta_method: str = "mean"
-    min_common_fraction: float = 0.3
     enable_instructionwise: bool = True
     enable_loopwise: bool = True
     enable_bitwise: bool = True
-    pred_flags_masked: bool = True
     seed: int = 2018
 
     def prune(
@@ -166,7 +160,7 @@ class ProgressivePruner:
         # towards boundary-adjacent threads, whose flips cross the
         # active/idle boundary far more often than their group's.
         t0 = time.perf_counter()
-        tw = prune_threads(traces, geometry, method=self.cta_method, rng=rng)
+        tw = prune_threads(traces, geometry, rng=rng)
         # Injection units: (thread, dyn index) -> weight per bit.
         units: dict[tuple[int, int], float] = {}
         widths: dict[tuple[int, int], int] = {}
@@ -186,12 +180,7 @@ class ProgressivePruner:
         iw = None
         t0 = time.perf_counter()
         if self.enable_instructionwise:
-            iw = prune_instructions(
-                program,
-                traces,
-                tw.representatives,
-                min_common_fraction=self.min_common_fraction,
-            )
+            iw = prune_instructions(program, traces, tw.representatives)
             for block in iw.borrowed:
                 for offset in range(block.size):
                     src = (block.thread, block.lo + offset)
@@ -234,7 +223,7 @@ class ProgressivePruner:
             if self.enable_bitwise:
                 plan = plans.get(width)
                 if plan is None:
-                    plan = plan_bits(width, self.n_bits, self.pred_flags_masked)
+                    plan = plan_bits(width, self.n_bits)
                     plans[width] = plan
                 for bit in plan.kept_bits:
                     sites.append(

@@ -31,7 +31,7 @@ SUMMED_GAUGES = frozenset({
 #: Histograms whose per-worker shape matters for diagnosing pool health.
 #: :meth:`MetricsRegistry.merge` keeps a scoped ``name[worker]`` copy per
 #: contributor *in addition to* the combined ``name`` histogram, so
-#: reports can show queue-wait skew across workers instead of one pooled
+#: reports can show queue-wait skew across workers instead of one merged
 #: distribution that hides a straggler.
 SCOPED_HISTOGRAMS = frozenset({
     "parallel.queue_wait_s",

@@ -241,8 +241,6 @@ class TestCheckpointStore:
         assert store.best_thread(0, 32).dyn_index == 32
         assert store.best_thread(0, 7) is None
         assert store.best_thread(1, 100) is None
-        assert store.hits == 2
-        assert store.misses == 2
 
     def test_lru_evicts_least_recently_used(self):
         snapshot = self._cp(8)
@@ -275,8 +273,6 @@ class TestCheckpointStore:
         store.put_thread(3, self._cp(8))
         store.best_thread(3, 100)
         assert store.counters() == {
-            "hits": 1,
-            "misses": 0,
             "stored": 1,
             "evicted": 0,
             "rejected": 0,

@@ -158,11 +158,14 @@ def test_compiled_and_vectorized_launches_match(key):
 
 
 def test_vectorized_two_workers_matches_serial_interpreter():
-    """Pooled vectorized campaigns equal the serial interpreter, and the
+    """Pooled vectorized campaigns equal the serial interpreter.  The
     workers' injectors thread-slice from the golden state they were
-    handed: every injection tries the thread slice first — on gemm.k1
-    too, whose threads read their own output."""
-    for key in ("2dconv.k1", "gemm.k1"):
+    handed: every 2dconv.k1 and gemm.k1 injection tries the thread slice
+    first — on gemm.k1 too, whose threads read their own output.
+    pathfinder.k1's threads share memory and barriers, so its injections
+    run lockstep CTA slices with the injected lane demoted, on runners
+    each launch builds."""
+    for key in ("2dconv.k1", "gemm.k1", "pathfinder.k1"):
         serial = random_campaign(
             FaultInjector(load_instance(key), backend="interpreter"),
             N_SITES,
@@ -178,6 +181,9 @@ def test_vectorized_two_workers_matches_serial_interpreter():
         assert pooled.outcomes == serial.outcomes, key
         assert pooled.profile.weights == serial.profile.weights
         metrics = telemetry.metrics
+        if key == "pathfinder.k1":
+            assert metrics.counter_value("injections.cta_sliced") > 0, key
+            continue
         sliced = metrics.counter_value("injections.thread_sliced")
         demoted = metrics.counter_value("injections.thread_sliced_fallback")
         assert sliced > 0, key

@@ -130,7 +130,7 @@ def _observe(ctx, memory, shared, painter):
         ctx.pc,
         ctx.dyn_count,
         list(memory.write_log),
-        dict(ctx.regs.values),
+        dict(ctx.regs),
         memory.raw_window(lo, hi),
         shared.snapshot_bytes(),
         painter.events,
@@ -261,7 +261,7 @@ def test_checkpoint_captures_off_block_grid(every, recording):
         def resumed(backend):
             ctx, memory, shared, painter = _context(backend, recording)
             memory.apply_writes(writes)
-            ctx.regs.values = dict(regs)
+            ctx.regs = dict(regs)
             ctx.pc, ctx.dyn_count = pc, dyn
             return _observe(ctx, memory, shared, painter)
 
@@ -295,7 +295,7 @@ def test_armed_instruction_that_blocks():
         seen = []
         while True:  # the CTA scheduler's view: release at each barrier
             ctx.run_until_block()
-            seen.append((ctx.state, ctx.pc, ctx.dyn_count, dict(ctx.regs.values)))
+            seen.append((ctx.state, ctx.pc, ctx.dyn_count, dict(ctx.regs)))
             if ctx.state is ThreadState.EXITED:
                 return seen, ctx.injection
             ctx.state = ThreadState.RUNNING

@@ -1,4 +1,4 @@
-"""Unit + property tests for register state and the bit-flip primitive."""
+"""Unit + property tests for register values and the bit-flip primitive."""
 
 import math
 import struct
@@ -8,24 +8,7 @@ from hypothesis import assume, given, strategies as st
 
 from repro.errors import FaultInjectionError
 from repro.gpu.isa import DataType
-from repro.gpu.registers import RegisterFile, canonical_int, clamp_f32, flip_bit
-
-
-class TestRegisterFile:
-    def test_unwritten_reads_zero(self):
-        assert RegisterFile().read("r9") == 0
-
-    def test_write_read(self):
-        regs = RegisterFile()
-        regs.write("acc", 1.5)
-        assert regs.read("acc") == 1.5
-
-    def test_copy_is_independent(self):
-        regs = RegisterFile()
-        regs.write("a", 1)
-        clone = regs.copy()
-        clone.write("a", 2)
-        assert regs.read("a") == 1
+from repro.gpu.registers import canonical_int, clamp_f32, flip_bit
 
 
 class TestFlipBit:

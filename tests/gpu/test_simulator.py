@@ -34,6 +34,17 @@ class TestLaunchGeometry:
         assert specials[("ntid", "x")] == 2
         assert specials[("nctaid", "y")] == 2
 
+    def test_lane_specials_match_specials_for(self):
+        geo = LaunchGeometry(grid=(3, 2), block=(4, 3))
+        for cta in range(geo.n_ctas):
+            lanes = geo.lane_specials(cta)
+            for slot in range(geo.threads_per_cta):
+                specials = geo.specials_for(cta, slot)
+                assert lanes.keys() == specials.keys()
+                for key, value in specials.items():
+                    assert lanes[key].dtype == np.uint64
+                    assert int(lanes[key][slot]) == value, (cta, slot, key)
+
 
 class TestPackParams:
     def test_missing_param_rejected(self):

@@ -50,7 +50,7 @@ class TestControlFlow:
         k.mov("u32", r.a, 42, guard=(p, "eq"))
         k.retp()
         thread = _run_single(k)
-        assert thread.regs.read("a") == 0
+        assert thread.regs.get("a", 0) == 0
         assert thread.dyn_count == 3
         # The predicated-off slot is in the trace with zero width.
         assert thread.trace[1][1] == 0
@@ -63,7 +63,7 @@ class TestControlFlow:
         k.mov("u32", r.a, 42, guard=(p, "ne"))
         k.retp()
         thread = _run_single(k)
-        assert thread.regs.read("a") == 42
+        assert thread.regs.get("a", 0) == 42
 
     def test_backward_branch_loops(self):
         k = KernelBuilder("t")
@@ -72,7 +72,7 @@ class TestControlFlow:
             pass
         k.retp()
         thread = _run_single(k)
-        assert thread.regs.read("i") == 5
+        assert thread.regs.get("i", 0) == 5
 
     def test_hang_budget_enforced(self):
         k = KernelBuilder("t")
@@ -91,7 +91,7 @@ class TestControlFlow:
         k.selp("u32", r.a, r.a, 99, p)
         k.retp()
         thread = _run_single(k)
-        assert thread.regs.read("a") == 99
+        assert thread.regs.get("a", 0) == 99
 
     def test_injection_flips_dest_after_write(self):
         k = KernelBuilder("t")
@@ -99,7 +99,7 @@ class TestControlFlow:
         k.mov("u32", r.a, 0)
         k.retp()
         thread = _run_single(k, injection=InjectionSpec(0, 5))
-        assert thread.regs.read("a") == 32
+        assert thread.regs.get("a", 0) == 32
         assert thread.injection is None  # consumed
 
     def test_injection_on_pred_flips_flag(self):
@@ -110,7 +110,7 @@ class TestControlFlow:
         k.mov("u32", r.a, 42, guard=(p, "eq"))
         k.retp()
         thread = _run_single(k, injection=InjectionSpec(0, 0))  # flip zero flag
-        assert thread.regs.read("a") == 42  # guard now passes
+        assert thread.regs.get("a", 0) == 42  # guard now passes
 
 
 class TestBarriers:
@@ -149,7 +149,7 @@ class TestBarriers:
         ]
         run_cta(threads)
         for t, thread in enumerate(threads):
-            assert thread.regs.read("v") == (t + 1) % n
+            assert thread.regs.get("v", 0) == (t + 1) % n
 
     def test_exited_thread_does_not_deadlock_barrier(self):
         # Thread 0 exits before the barrier; thread 1 still passes it.
@@ -176,5 +176,5 @@ class TestBarriers:
             for t in range(2)
         ]
         run_cta(threads)
-        assert threads[0].regs.read("tx") == 0
-        assert threads[1].regs.read("tx") == 99
+        assert threads[0].regs.get("tx", 0) == 0
+        assert threads[1].regs.get("tx", 0) == 99

@@ -213,8 +213,9 @@ class TestReportCli:
     def test_manifest_only_report_shows_the_recorded_profile(
         self, tmp_path, capsys
     ):
-        """Without injection events the report renders the profile and the
-        injection total the manifest recorded."""
+        """Without injection events the report renders the profile, the
+        injection and launch totals, the backend and the effective
+        instructions the manifest recorded."""
         from repro.__main__ import main
 
         manifest = tmp_path / "m.json"
@@ -223,20 +224,29 @@ class TestReportCli:
             "--manifest", str(manifest),
         ]) == 0
         recorded = json.loads(manifest.read_text())
+        counters = recorded["metrics"]["counters"]
         capsys.readouterr()
         assert main(["report", str(manifest), "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["meta"]["n_injections"] == 89
-        assert report["meta"]["n_injections"] == (
-            recorded["metrics"]["counters"]["injections.total"]
-        )
+        meta = report["meta"]
+        assert meta["n_injections"] == 89
+        assert meta["n_injections"] == counters["injections.total"]
+        assert meta["n_sim_runs"] == counters["sim.launches"] > 0
+        assert meta["backends"] == [recorded["config"]["backend"]] == ["compiled"]
+        effective = counters["work.effective_instructions"]
+        assert meta["effective_instructions"] == effective > 0
         shares = {row["outcome"]: 100 * row["share"] for row in report["outcomes"]}
         assert shares == pytest.approx(recorded["profile"]["percentages"], abs=1e-9)
         assert all(row["count"] is None for row in report["outcomes"])
         assert main(["report", str(manifest)]) == 0
         text = capsys.readouterr().out
         assert "injections=89" in text
+        assert f"sim_runs={counters['sim.launches']}  backends=compiled" in text
+        assert f"effective instructions covered: {effective:,}" in text
         assert "outcomes (weighted):" in text
+        assert main(["report", str(manifest), "--format", "markdown"]) == 0
+        markdown = capsys.readouterr().out
+        assert f"{counters['sim.launches']} sim runs, backends: compiled" in markdown
 
 
 @pytest.mark.parametrize("kernel", ["gaussian.k125", "mvt.k1", "lud.k46"])
